@@ -124,11 +124,13 @@ class Tape:
     def release(self) -> None:
         """Drop all recorded nodes.
 
-        Each node's backward closure pins the forward intermediates (im2col
-        buffers and the like), and recorded outputs point back at the tape, so
-        an unreleased tape is a reference cycle holding the whole batch until
-        the cycle collector happens to run. Releasing breaks the cycle and
-        lets plain refcounting reclaim the batch immediately. Idempotent.
+        Each node's backward closure pins the forward intermediates (the
+        whole batch's im2col columns of every recorded conv, since only a
+        recorded conv keeps them, batch norm's normalized input and the
+        like), and recorded outputs point back at the tape, so an unreleased
+        tape is a reference cycle holding the whole batch until the cycle
+        collector happens to run. Releasing breaks the cycle and lets plain
+        refcounting reclaim the batch immediately. Idempotent.
         """
         self.nodes.clear()
         self._spent = True

@@ -29,31 +29,51 @@ def _require_even_spatial(x: Tensor, op: str) -> None:
         raise ValueError(f"{op}: spatial extents must be even, got {h}x{w}")
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
+# Bytes of im2col columns lowered at a time. conv2d lowers and multiplies one
+# block of examples while the block's columns are still in cache (L2 holds 1-2
+# MiB per core on current x86 parts); the whole batch's columns would be
+# streamed back from memory.
+COLUMN_BLOCK_BYTES = 1 << 20
+
+
+def _to_columns(src: np.ndarray, padded: Optional[np.ndarray], padding: int,
+                cols: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> None:
+    """im2col of one block: ``src`` (b, C, H, W) into ``cols`` (b, C*kh*kw, OH*OW).
+
+    With padding, ``src`` is first copied into the interior of ``padded``,
+    whose border is zero and never written.
+    """
+    b, c, h, w = src.shape
+    if padding:
+        padded[:b, :, padding:padding + h, padding:padding + w] = src
+        src = padded[:b]
+    c6 = cols.reshape(b, c, kh, kw, oh, ow)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return cols.reshape(n, c * kh * kw, oh * ow)
+            c6[:, :, i, j] = src[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
 
 
-def _col2im(dcols: np.ndarray, xshape, kh: int, kw: int, stride: int,
-            padding: int, oh: int, ow: int) -> np.ndarray:
-    n, c, h, w = xshape
-    dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dcols.dtype)
-    d6 = dcols.reshape(n, c, kh, kw, oh, ow)
+def _from_columns(dcols: np.ndarray, dxp: np.ndarray, kh: int, kw: int, stride: int,
+                  oh: int, ow: int) -> None:
+    """col2im of one block: sum ``dcols`` (b, C*kh*kw, OH*OW) into zeroed ``dxp``."""
+    b, c = dxp.shape[:2]
+    dxp.fill(0)
+    d6 = dcols.reshape(b, c, kh, kw, oh, ow)
     for i in range(kh):
         for j in range(kw):
             dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += d6[:, :, i, j]
-    if padding:
-        return np.ascontiguousarray(dxp[:, :, padding:padding + h, padding:padding + w])
-    return dxp
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlate NCHW input with an (out, in, kh, kw) weight."""
+    """Cross-correlate NCHW input with an (out, in, kh, kw) weight.
+
+    The input is lowered to im2col columns one block of examples at a time
+    (``COLUMN_BLOCK_BYTES``), and each block is multiplied at once. Every
+    example makes the same GEMM calls, and every sum runs in the same order,
+    as lowering the whole batch at once, so results do not depend on the block
+    size. Only a recorded call keeps the whole batch's columns, for backward.
+    """
     _require_4d(x, "conv2d")
     if weight.ndim != 4:
         raise ValueError(f"conv2d: expected 4-d weight, got shape {weight.shape}")
@@ -73,21 +93,48 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         raise ValueError(
             f"conv2d: output extent {oh}x{ow} not positive for input {h}x{w}, "
             f"kernel {kh}x{kw}, stride {stride}, padding {padding}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    cols = _im2col(xp, kh, kw, stride, oh, ow)
-    w2 = weight.data.reshape(cout, cin * kh * kw)
-    out_data = np.matmul(w2, cols)
+    k, p = cin * kh * kw, oh * ow
+    dtype = x.dtype
+    block = max(1, min(n, COLUMN_BLOCK_BYTES // (k * p * dtype.itemsize)))
+    padded_shape = (block, cin, h + 2 * padding, w + 2 * padding)
+    w2 = weight.data.reshape(cout, k)
+    record = recording(x, weight, bias)
+    cols = np.empty((n if record else block, k, p), dtype=dtype)
+    padded = np.zeros(padded_shape, dtype=dtype) if padding else None
+    out_data = np.empty((n, cout, p), dtype=np.result_type(w2, cols))
+    for s in range(0, n, block):
+        xb = x.data[s:s + block]
+        cb = cols[s:s + block] if record else cols[:len(xb)]
+        _to_columns(xb, padded, padding, cb, kh, kw, stride, oh, ow)
+        np.matmul(w2, cb, out=out_data[s:s + block])
     if bias is not None:
         out_data += bias.data[:, None]
     out = _wrap(out_data.reshape(n, cout, oh, ow))
-    if recording(x, weight, bias):
+    if record:
         def bwd(g):
-            g2 = g.reshape(n, cout, oh * ow)
-            dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+            g2 = g.reshape(n, cout, p)
             db = g.sum(axis=(0, 2, 3)) if bias is not None else None
-            dcols = np.matmul(w2.T, g2)
-            dx = _col2im(dcols, x.shape, kh, kw, stride, padding, oh, ow)
-            return dx, dw, db
+            # Per-example weight gradients are added in batch order onto
+            # zeros, which is how .sum(axis=0) reduces a stacked product.
+            dw = np.zeros((cout, k), dtype=np.result_type(g2, cols))
+            part = np.empty((block, cout, k), dtype=dw.dtype)
+            dx = None
+            if x.requires_grad:
+                dx = np.empty((n, cin, h, w), dtype=np.result_type(w2, g2))
+                dcols = np.empty((block, k, p), dtype=dx.dtype)
+                dxp = np.empty(padded_shape, dtype=dx.dtype)
+            for s in range(0, n, block):
+                gb = g2[s:s + block]
+                m = len(gb)
+                np.matmul(gb, cols[s:s + block].transpose(0, 2, 1), out=part[:m])
+                for row in part[:m]:
+                    dw += row
+                if dx is None:
+                    continue
+                np.matmul(w2.T, gb, out=dcols[:m])
+                _from_columns(dcols[:m], dxp[:m], kh, kw, stride, oh, ow)
+                dx[s:s + block] = dxp[:m, :, padding:padding + h, padding:padding + w]
+            return dx, dw.reshape(weight.shape), db
         push((x, weight, bias), out, bwd)
     return out
 

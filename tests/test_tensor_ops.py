@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,6 +112,123 @@ class TestConv2d:
         w = Tensor(np.zeros((8, 3, 3, 3)))
         with pytest.raises(ValueError, match="channel"):
             ops.conv2d(x, w)
+
+
+def reference_conv2d(x, w, b, stride, padding, g=None):
+    """Whole-batch im2col lowering, as conv2d computed it before it worked
+    block by block. Returns the output, or (out, dx, dw, db) for gradient g."""
+    n, c, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    cols = cols.reshape(n, c * kh * kw, oh * ow)
+    w2 = w.reshape(cout, c * kh * kw)
+    out = np.matmul(w2, cols)
+    if b is not None:
+        out += b[:, None]
+    out = out.reshape(n, cout, oh, ow)
+    if g is None:
+        return out
+    g2 = g.reshape(n, cout, oh * ow)
+    dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    db = g.sum(axis=(0, 2, 3)) if b is not None else None
+    d6 = np.matmul(w2.T, g2).reshape(n, c, kh, kw, oh, ow)
+    dxp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=d6.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += d6[:, :, i, j]
+    if padding:
+        dxp = np.ascontiguousarray(dxp[:, :, padding:padding + h, padding:padding + wd])
+    return out, dxp, dw, db
+
+
+def exact(*arrays, requires_grad=False):
+    """Tensors keeping each array's own dtype; None stays None."""
+    tensors = []
+    for arr in arrays:
+        t = None if arr is None else Tensor(arr, dtype=arr.dtype)
+        if t is not None:
+            t.requires_grad = requires_grad
+        tensors.append(t)
+    return tensors
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestConv2dBlocking:
+    """Block-by-block lowering must reproduce whole-batch lowering bit for bit."""
+
+    @pytest.mark.parametrize("kernel,stride,padding,with_bias,dtype", list(itertools.product(
+        (1, 3), (1, 2), (0, 1), (False, True), (np.float32, np.float64))))
+    def test_matches_whole_batch_lowering(self, monkeypatch, kernel, stride, padding,
+                                          with_bias, dtype):
+        rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
+        n, cin, cout, h = 5, 3, 4, 7
+        # zero entries of both signs exercise the sign of zero sums
+        x = (rng.standard_normal((n, cin, h, h)) * (rng.random((n, cin, h, h)) > 0.2)).astype(dtype)
+        w = rng.standard_normal((cout, cin, kernel, kernel)).astype(dtype)
+        b = rng.standard_normal(cout).astype(dtype) if with_bias else None
+        expected = reference_conv2d(x, w, b, stride, padding)
+        g = (rng.standard_normal(expected.shape) * (rng.random(expected.shape) > 0.3)).astype(dtype)
+        expected_grads = reference_conv2d(x, w, b, stride, padding, g)
+        example_bytes = cin * kernel * kernel * expected.shape[2] * expected.shape[3] * x.itemsize
+        # 1 example per block, 2 per block with a ragged last block, the whole batch
+        for budget in (1, example_bytes, 2 * example_bytes, ops.COLUMN_BLOCK_BYTES):
+            monkeypatch.setattr(ops, "COLUMN_BLOCK_BYTES", budget)
+            assert_same_bits(ops.conv2d(*exact(x, w, b), stride=stride, padding=padding).data,
+                             expected)
+            with Tape() as tape:
+                y = ops.conv2d(*exact(x, w, b, requires_grad=True), stride=stride,
+                               padding=padding)
+            assert_same_bits(y.data, expected)
+            grads = tape.nodes[-1].fn(g)
+            tape.release()
+            for actual, wanted in zip(grads, expected_grads[1:]):
+                if wanted is None:
+                    assert actual is None
+                else:
+                    assert_same_bits(actual, wanted)
+
+    def test_untaped_conv_holds_no_whole_batch_columns(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((64, 16, 32, 32)), dtype=np.float32)
+        w = Tensor(rng.standard_normal((16, 16, 3, 3)), dtype=np.float32)
+        whole_batch_columns = 64 * 16 * 9 * 32 * 32 * 4  # 37.7 MB
+        tracemalloc.start()
+        try:
+            ops.conv2d(x, w, padding=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_batch_columns
+
+    def test_untracked_input_gets_no_gradient(self):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((3, 2, 6, 6)).astype(np.float32)
+        w = tracked(rng.standard_normal((4, 2, 3, 3)))
+        b = tracked(rng.standard_normal(4))
+        g = rng.standard_normal((3, 4, 6, 6)).astype(np.float32)
+
+        def node_grads(x_tensor):
+            with Tape() as tape:
+                ops.conv2d(x_tensor, w, b, padding=1)
+            grads = tape.nodes[-1].fn(g)
+            tape.release()
+            return grads
+
+        dx, dw, db = node_grads(Tensor(x))
+        assert dx is None
+        _, dw_tracked, db_tracked = node_grads(tracked(x))
+        assert_same_bits(dw, dw_tracked)
+        assert_same_bits(db, db_tracked)
 
 
 class TestPooling:
