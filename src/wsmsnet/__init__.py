@@ -15,7 +15,6 @@ _EXPORTS = {
     # autodiff
     "Tensor": "wsmsnet.autodiff",
     "Tape": "wsmsnet.autodiff",
-    "backward": "wsmsnet.autodiff",
     "set_precision": "wsmsnet.autodiff",
     "precision": "wsmsnet.autodiff",
     "using_precision": "wsmsnet.autodiff",

@@ -122,24 +122,32 @@ class Tape:
         Tape._active = None
 
     def release(self) -> None:
-        """Drop all recorded nodes.
+        """Drop all recorded nodes and refuse any further backward.
 
-        Each node's backward closure pins the forward intermediates (the
-        whole batch's im2col columns of every recorded conv, since only a
-        recorded conv keeps them, batch norm's normalized input and the
-        like), and recorded outputs point back at the tape, so an unreleased
-        tape is a reference cycle holding the whole batch until the cycle
-        collector happens to run. Releasing breaks the cycle and lets plain
-        refcounting reclaim the batch immediately. Idempotent.
+        Each node holds its op's input and output tensors and a backward
+        closure. A closure pins nothing but tensors of the graph (and a few
+        per-channel vectors): what backward needs beyond them, such as a
+        conv's im2col columns or batch norm's normalized input, it computes
+        again from the inputs, so ops never write their recorded inputs in
+        place. Recorded outputs point back at the tape, so an unreleased tape
+        is a reference cycle holding the whole batch until the cycle
+        collector happens to run; releasing breaks the cycle and lets plain
+        refcounting reclaim the batch at once. Idempotent.
         """
         self.nodes.clear()
         self._spent = True
 
     def backward(self, loss: Tensor, retain: bool = False) -> GradMap:
-        """Accumulate d(loss)/d(tensor) for every reachable tracked tensor.
+        """Gradients of ``loss`` with respect to the tape's tracked leaves.
 
-        The tape is released afterwards unless ``retain`` is true; pass
-        ``retain=True`` to run backward again from a different scalar.
+        The map holds d(loss)/d(tensor) for every reachable tracked tensor
+        that no node on the tape produced (parameters and inputs); gradients
+        of node outputs are dropped as soon as they have been passed on.
+        Without ``retain`` the tape is consumed: each node is freed once its
+        backward has run, so activations, closures and gradients go as soon
+        as backward is past them, and the tape ends released even when a
+        backward closure raises. With ``retain=True`` the nodes are kept, so
+        backward can run again from a different scalar.
         """
         if self._spent:
             raise RuntimeError("tape has been released; record a new graph")
@@ -147,24 +155,24 @@ class Tape:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
         if loss._tape is not self:
             raise RuntimeError("loss was not produced on this tape")
+        nodes = list(self.nodes) if retain else self.nodes
         grads: GradMap = {loss: np.ones_like(loss.data)}
-        for node in reversed(self.nodes):
-            gout = grads.get(node.out)
-            if gout is None:
-                continue
-            gins = node.fn(gout)
-            for tensor, grad in zip(node.inputs, gins):
-                if tensor is None or grad is None or not tensor.requires_grad:
+        try:
+            while nodes:
+                node = nodes.pop()
+                gout = grads.pop(node.out, None)
+                if gout is None:
                     continue
-                held = grads.get(tensor)
-                grads[tensor] = grad if held is None else held + grad
-        if not retain:
-            self.release()
+                gins = node.fn(gout)
+                for tensor, grad in zip(node.inputs, gins):
+                    if tensor is None or grad is None or not tensor.requires_grad:
+                        continue
+                    held = grads.get(tensor)
+                    grads[tensor] = grad if held is None else held + grad
+        finally:
+            if not retain:
+                self.release()
         return grads
-
-
-def backward(tape: Tape, loss: Tensor, retain: bool = False) -> GradMap:
-    return tape.backward(loss, retain=retain)
 
 
 def recording(*tensors: Optional[Tensor]) -> bool:

@@ -36,32 +36,54 @@ def _require_even_spatial(x: Tensor, op: str) -> None:
 COLUMN_BLOCK_BYTES = 1 << 20
 
 
-def _to_columns(src: np.ndarray, padded: Optional[np.ndarray], padding: int,
-                cols: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> None:
-    """im2col of one block: ``src`` (b, C, H, W) into ``cols`` (b, C*kh*kw, OH*OW).
+def _lowered(x: np.ndarray, block: int, kh: int, kw: int, stride: int, padding: int,
+             oh: int, ow: int):
+    """im2col of ``x`` (n, C, H, W) one block of examples at a time.
 
-    With padding, ``src`` is first copied into the interior of ``padded``,
-    whose border is zero and never written.
+    Yields ``(start, columns)`` with ``columns`` (b, C*kh*kw, OH*OW) the block
+    of examples from ``start``; every block is lowered into the same buffer, so
+    each must be used before the next is drawn. With padding, each block is
+    first copied into the interior of a buffer whose border is zero and never
+    written.
     """
-    b, c, h, w = src.shape
-    if padding:
-        padded[:b, :, padding:padding + h, padding:padding + w] = src
-        src = padded[:b]
-    c6 = cols.reshape(b, c, kh, kw, oh, ow)
-    for i in range(kh):
-        for j in range(kw):
-            c6[:, :, i, j] = src[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    n, c, h, w = x.shape
+    cols = np.empty((block, c * kh * kw, oh * ow), dtype=x.dtype)
+    padded = (np.zeros((block, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+              if padding else None)
+    for s in range(0, n, block):
+        src = x[s:s + block]
+        b = len(src)
+        if padding:
+            padded[:b, :, padding:padding + h, padding:padding + w] = src
+            src = padded[:b]
+        c6 = cols[:b].reshape(b, c, kh, kw, oh, ow)
+        for i in range(kh):
+            for j in range(kw):
+                c6[:, :, i, j] = src[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+        yield s, cols[:b]
 
 
-def _from_columns(dcols: np.ndarray, dxp: np.ndarray, kh: int, kw: int, stride: int,
-                  oh: int, ow: int) -> None:
-    """col2im of one block: sum ``dcols`` (b, C*kh*kw, OH*OW) into zeroed ``dxp``."""
-    b, c = dxp.shape[:2]
-    dxp.fill(0)
+def _tap_range(offset: int, padding: int, stride: int, out: int, size: int):
+    """(input slice, output slice) of one kernel tap along one axis: the output
+    positions whose input cell lies inside the image, not in the padding."""
+    first = max(0, -((offset - padding) // stride))
+    count = max(0, min(out, -((offset - padding - size) // stride)) - first)
+    start = offset - padding + stride * first
+    return slice(start, start + stride * count, stride), slice(first, first + count)
+
+
+def _from_columns(dcols: np.ndarray, dx: np.ndarray, kh: int, kw: int, stride: int,
+                  padding: int, oh: int, ow: int) -> None:
+    """col2im of one block: sum ``dcols`` (b, C*kh*kw, OH*OW) into zeroed ``dx``
+    (b, C, H, W), tap by tap; the parts of each tap that fall on padding are
+    dropped."""
+    b, c, h, w = dx.shape
     d6 = dcols.reshape(b, c, kh, kw, oh, ow)
     for i in range(kh):
+        rows, orows = _tap_range(i, padding, stride, oh, h)
         for j in range(kw):
-            dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += d6[:, :, i, j]
+            cols, ocols = _tap_range(j, padding, stride, ow, w)
+            dx[:, :, rows, cols] += d6[:, :, i, j, orows, ocols]
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -72,7 +94,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     (``COLUMN_BLOCK_BYTES``), and each block is multiplied at once. Every
     example makes the same GEMM calls, and every sum runs in the same order,
     as lowering the whole batch at once, so results do not depend on the block
-    size. Only a recorded call keeps the whole batch's columns, for backward.
+    size. No call keeps more than one block of columns: backward lowers each
+    block again from the input.
     """
     _require_4d(x, "conv2d")
     if weight.ndim != 4:
@@ -96,44 +119,35 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     k, p = cin * kh * kw, oh * ow
     dtype = x.dtype
     block = max(1, min(n, COLUMN_BLOCK_BYTES // (k * p * dtype.itemsize)))
-    padded_shape = (block, cin, h + 2 * padding, w + 2 * padding)
     w2 = weight.data.reshape(cout, k)
-    record = recording(x, weight, bias)
-    cols = np.empty((n if record else block, k, p), dtype=dtype)
-    padded = np.zeros(padded_shape, dtype=dtype) if padding else None
-    out_data = np.empty((n, cout, p), dtype=np.result_type(w2, cols))
-    for s in range(0, n, block):
-        xb = x.data[s:s + block]
-        cb = cols[s:s + block] if record else cols[:len(xb)]
-        _to_columns(xb, padded, padding, cb, kh, kw, stride, oh, ow)
+    out_data = np.empty((n, cout, p), dtype=np.result_type(w2, dtype))
+    for s, cb in _lowered(x.data, block, kh, kw, stride, padding, oh, ow):
         np.matmul(w2, cb, out=out_data[s:s + block])
     if bias is not None:
         out_data += bias.data[:, None]
     out = _wrap(out_data.reshape(n, cout, oh, ow))
-    if record:
+    if recording(x, weight, bias):
         def bwd(g):
             g2 = g.reshape(n, cout, p)
             db = g.sum(axis=(0, 2, 3)) if bias is not None else None
             # Per-example weight gradients are added in batch order onto
             # zeros, which is how .sum(axis=0) reduces a stacked product.
-            dw = np.zeros((cout, k), dtype=np.result_type(g2, cols))
+            dw = np.zeros((cout, k), dtype=np.result_type(g2, dtype))
             part = np.empty((block, cout, k), dtype=dw.dtype)
             dx = None
             if x.requires_grad:
-                dx = np.empty((n, cin, h, w), dtype=np.result_type(w2, g2))
+                dx = np.zeros((n, cin, h, w), dtype=np.result_type(w2, g2))
                 dcols = np.empty((block, k, p), dtype=dx.dtype)
-                dxp = np.empty(padded_shape, dtype=dx.dtype)
-            for s in range(0, n, block):
+            for s, cb in _lowered(x.data, block, kh, kw, stride, padding, oh, ow):
                 gb = g2[s:s + block]
                 m = len(gb)
-                np.matmul(gb, cols[s:s + block].transpose(0, 2, 1), out=part[:m])
+                np.matmul(gb, cb.transpose(0, 2, 1), out=part[:m])
                 for row in part[:m]:
                     dw += row
                 if dx is None:
                     continue
                 np.matmul(w2.T, gb, out=dcols[:m])
-                _from_columns(dcols[:m], dxp[:m], kh, kw, stride, oh, ow)
-                dx[s:s + block] = dxp[:m, :, padding:padding + h, padding:padding + w]
+                _from_columns(dcols[:m], dx[s:s + m], kh, kw, stride, padding, oh, ow)
             return dx, dw.reshape(weight.shape), db
         push((x, weight, bias), out, bwd)
     return out
@@ -185,9 +199,8 @@ def global_avg_pool(x: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     out = _wrap(np.maximum(x.data, 0))
     if recording(x):
-        mask = x.data > 0  # gradient at exactly 0 is 0
         def bwd(g):
-            return (g * mask,)
+            return (g * (x.data > 0),)  # gradient at exactly 0 is 0
         push((x,), out, bwd)
     return out
 
@@ -342,15 +355,21 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         running_var *= (1.0 - momentum)
         running_var += momentum * var
     else:
-        mean = running_mean
+        # a copy: backward normalizes with it again, after later training-mode
+        # calls may have moved the running buffers
+        mean = running_mean.copy()
         var = running_var
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv[None, :, None, None]
-    out = _wrap(gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None])
+
+    def normalized():
+        return (x.data - mean[None, :, None, None]) * inv[None, :, None, None]
+
+    out = _wrap(gamma.data[None, :, None, None] * normalized() + beta.data[None, :, None, None])
     if recording(x, gamma, beta):
         if training:
             def bwd(g):
                 m = n * h * w
+                xhat = normalized()
                 dbeta = g.sum(axis=(0, 2, 3))
                 dgamma = (g * xhat).sum(axis=(0, 2, 3))
                 coeff = (gamma.data * inv)[None, :, None, None]
@@ -360,7 +379,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         else:
             def bwd(g):
                 dbeta = g.sum(axis=(0, 2, 3))
-                dgamma = (g * xhat).sum(axis=(0, 2, 3))
+                dgamma = (g * normalized()).sum(axis=(0, 2, 3))
                 dx = g * (gamma.data * inv)[None, :, None, None]
                 return dx, dgamma, dbeta
         push((x, gamma, beta), out, bwd)

@@ -69,6 +69,48 @@ class TestTapeLifecycle:
         g2 = tape.backward(loss)
         np.testing.assert_array_equal(g1[x], g2[x])
 
+    def test_raising_closure_still_releases_tape(self):
+        x = tracked(np.ones(3))
+        with Tape() as tape:
+            loss = ops.sum_all(ops.relu(x))
+
+        def broken(g):
+            raise ArithmeticError("injected")
+        tape.nodes[0].fn = broken  # relu's node, reached after sum_all's
+        with pytest.raises(ArithmeticError, match="injected"):
+            tape.backward(loss)
+        assert tape.nodes == []
+        with pytest.raises(RuntimeError, match="released"):
+            tape.backward(loss)
+
+    @pytest.mark.parametrize("retain", (False, True))
+    def test_backward_frees_each_node_once_it_has_run(self, retain):
+        x = tracked(np.ones((2, 3)))
+        with Tape() as tape:
+            loss = ops.sum_all(ops.relu(ops.scale(x, 2.0)))
+        first, seen = tape.nodes[0].fn, []
+
+        def spy(g):
+            seen.append(len(tape.nodes))
+            return first(g)
+        tape.nodes[0].fn = spy
+        tape.backward(loss, retain=retain)
+        assert seen == [3 if retain else 0]
+
+    @pytest.mark.parametrize("retain", (False, True))
+    def test_map_holds_exactly_the_tracked_leaves(self, retain):
+        rng = np.random.default_rng(2)
+        x = tracked(rng.standard_normal((2, 3, 4, 4)))
+        w = tracked(rng.standard_normal((3, 3, 3, 3)))
+        fixed = Tensor(rng.standard_normal((2, 3, 4, 4)))  # a leaf, not tracked
+        with Tape() as tape:
+            y = ops.conv2d(x, w, padding=1)
+            z = ops.relu(ops.add(y, fixed))
+            loss = ops.sum_all(ops.mul(z, y))
+        grads = tape.backward(loss, retain=retain)
+        assert {id(t) for t in grads} == {id(x), id(w)}
+        assert len(tape.nodes) == (5 if retain else 0)
+
     def test_shared_tensor_grads_sum_across_sites(self):
         x = tracked(np.array([1.0, 2.0]))
         with Tape() as tape:
@@ -166,14 +208,12 @@ def assert_same_bits(actual, expected):
 class TestConv2dBlocking:
     """Block-by-block lowering must reproduce whole-batch lowering bit for bit."""
 
-    @pytest.mark.parametrize("kernel,stride,padding,with_bias,dtype", list(itertools.product(
-        (1, 3), (1, 2), (0, 1), (False, True), (np.float32, np.float64))))
-    def test_matches_whole_batch_lowering(self, monkeypatch, kernel, stride, padding,
-                                          with_bias, dtype):
-        rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
-        n, cin, cout, h = 5, 3, 4, 7
+    @staticmethod
+    def check(monkeypatch, rng, shape, cout, kernel, stride, padding, with_bias, dtype):
+        """Untaped and taped output and taped gradients, for every block size."""
+        n, cin = shape[:2]
         # zero entries of both signs exercise the sign of zero sums
-        x = (rng.standard_normal((n, cin, h, h)) * (rng.random((n, cin, h, h)) > 0.2)).astype(dtype)
+        x = (rng.standard_normal(shape) * (rng.random(shape) > 0.2)).astype(dtype)
         w = rng.standard_normal((cout, cin, kernel, kernel)).astype(dtype)
         b = rng.standard_normal(cout).astype(dtype) if with_bias else None
         expected = reference_conv2d(x, w, b, stride, padding)
@@ -197,6 +237,22 @@ class TestConv2dBlocking:
                 else:
                     assert_same_bits(actual, wanted)
 
+    @pytest.mark.parametrize("kernel,stride,padding,with_bias,dtype", list(itertools.product(
+        (1, 3), (1, 2), (0, 1), (False, True), (np.float32, np.float64))))
+    def test_matches_whole_batch_lowering(self, monkeypatch, kernel, stride, padding,
+                                          with_bias, dtype):
+        rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
+        self.check(monkeypatch, rng, (5, 3, 7, 7), 4, kernel, stride, padding, with_bias, dtype)
+
+    @pytest.mark.parametrize("kernel,height,width,dtype", list(itertools.product(
+        (1, 2, 3), (7, 8), (6, 9), (np.float32, np.float64))))
+    def test_matches_whole_batch_lowering_strided_padded(self, monkeypatch, kernel, height,
+                                                         width, dtype):
+        # stride 2 over a padded input: taps are clipped to the image at the
+        # start and, depending on kernel and extent, at the end of each axis
+        rng = np.random.default_rng(kernel * 100 + height * 10 + width)
+        self.check(monkeypatch, rng, (5, 3, height, width), 4, kernel, 2, 1, True, dtype)
+
     def test_untaped_conv_holds_no_whole_batch_columns(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((64, 16, 32, 32)), dtype=np.float32)
@@ -209,6 +265,26 @@ class TestConv2dBlocking:
         finally:
             tracemalloc.stop()
         assert peak < whole_batch_columns
+
+    def test_taped_conv_holds_no_whole_batch_columns(self):
+        rng = np.random.default_rng(0)
+        x = tracked(rng.standard_normal((64, 16, 32, 32)))
+        w = tracked(rng.standard_normal((16, 16, 3, 3)))
+        g = rng.standard_normal((64, 16, 32, 32)).astype(np.float32)
+        whole_batch_columns = 64 * 16 * 9 * 32 * 32 * 4  # 37.7 MB
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                ops.conv2d(x, w, padding=1)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            tape.nodes[-1].fn(g)
+            backward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            tape.release()
+        assert forward_peak < whole_batch_columns
+        assert backward_peak < whole_batch_columns
 
     def test_untracked_input_gets_no_gradient(self):
         rng = np.random.default_rng(1)
@@ -298,6 +374,33 @@ class TestElementwise:
         with pytest.raises(ValueError, match="does not align"):
             ops.concat_channels([Tensor(np.zeros((1, 2, 4, 4))),
                                  Tensor(np.zeros((1, 2, 2, 2)))])
+
+
+class TestBatchNormOp:
+    def test_eval_gradient_ignores_later_running_buffer_updates(self):
+        rng = np.random.default_rng(4)
+        x = tracked(rng.standard_normal((2, 3, 4, 4)))
+        gamma = tracked(rng.standard_normal(3))
+        beta = tracked(rng.standard_normal(3))
+        fixed = Tensor(rng.standard_normal((2, 3, 4, 4)))
+        running_mean = rng.standard_normal(3).astype(np.float32)
+        running_var = rng.random(3).astype(np.float32) + 0.5
+
+        def recorded():
+            with Tape() as tape:
+                y = ops.batch_norm(x, gamma, beta, running_mean, running_var, training=False)
+                loss = ops.sum_all(ops.mul(y, fixed))
+            return tape, loss
+
+        tape, loss = recorded()
+        expected = tape.backward(loss)
+        tape, loss = recorded()
+        # a training-mode call moves the running buffers in place
+        ops.batch_norm(Tensor(rng.standard_normal((2, 3, 4, 4)) + 3.0), gamma, beta,
+                       running_mean, running_var, training=True, momentum=0.5)
+        grads = tape.backward(loss)
+        for t in (x, gamma, beta):
+            assert_same_bits(grads[t], expected[t])
 
 
 class TestLinearAndLoss:

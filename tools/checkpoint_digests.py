@@ -5,12 +5,9 @@ change left every preset's numbers bit for bit as they were.
 
     PYTHONPATH=src python3 tools/checkpoint_digests.py
 
-For each preset in ``presets/``, at seed 0, on seeded random 32x32 inputs:
-
-- a preset under 1 G multiplications per example (by ``cost_report``) trains
-  for 2 SGD steps at batch 2, and its final checkpoint file is hashed;
-- a heavier preset (the DenseNets) has the eval-mode logits of one batch of 2
-  hashed, because its training tape at batch 2 holds several GB.
+For each preset in ``presets/``, at seed 0, on seeded random 32x32 inputs,
+the model trains for 2 SGD steps at batch 2 and its final checkpoint file is
+hashed.
 """
 
 from __future__ import annotations
@@ -30,14 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
-from wsmsnet import cost, data, model, specs, trainer
-from wsmsnet.autodiff import Tensor
+from wsmsnet import data, model, specs, trainer
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 SEED = 0
 BATCH = 2
 STEPS = 2
-TRAIN_MULT_LIMIT = 1e9   # multiplications per example above which only eval runs
 
 
 def inputs(class_count: int) -> data.Dataset:
@@ -47,27 +42,21 @@ def inputs(class_count: int) -> data.Dataset:
     return data.Dataset(images, labels, np.arange(BATCH), class_count)
 
 
-def preset_digest(path: Path):
-    """(what was hashed, hex digest) for one preset file."""
+def preset_digest(path: Path) -> str:
+    """Hex digest of one preset's checkpoint after STEPS steps."""
     cfg = json.loads(path.read_text())
     spec = specs.model_from_config(cfg["model"])
     net = model.build_model(spec, SEED)
-    ds = inputs(spec.backbone.class_count)
-    if cost.cost_report(spec).total_mults < TRAIN_MULT_LIMIT:
-        config = dataclasses.replace(trainer.TrainConfig.from_dict(cfg["train"]),
-                                     epochs=STEPS, batch_size=BATCH, seed=SEED)
-        with tempfile.TemporaryDirectory() as tmp:
-            trainer.train(net, ds, config, run_dir=tmp)
-            checkpoint = (Path(tmp) / "checkpoint-final.npz").read_bytes()
-        return "checkpoint", hashlib.sha256(checkpoint).hexdigest()
-    logits = net.forward(Tensor(ds.images), training=False).data
-    return "eval-logits", hashlib.sha256(logits.tobytes()).hexdigest()
+    config = dataclasses.replace(trainer.TrainConfig.from_dict(cfg["train"]),
+                                 epochs=STEPS, batch_size=BATCH, seed=SEED)
+    with tempfile.TemporaryDirectory() as tmp:
+        trainer.train(net, inputs(spec.backbone.class_count), config, run_dir=tmp)
+        return hashlib.sha256((Path(tmp) / "checkpoint-final.npz").read_bytes()).hexdigest()
 
 
 def main() -> None:
     for path in sorted(PRESETS.glob("*.json")):
-        kind, digest = preset_digest(path)
-        print(f"{path.stem:24s} {kind:12s} {digest}", flush=True)
+        print(f"{path.stem:24s} {preset_digest(path)}", flush=True)
 
 
 if __name__ == "__main__":
