@@ -43,8 +43,6 @@ _EXPORTS = {
     "load_checkpoint": "wsmsnet.model",
     # cost model
     "CostReport": "wsmsnet.cost",
-    "count_params": "wsmsnet.cost",
-    "count_mults": "wsmsnet.cost",
     "stage_overhead": "wsmsnet.cost",
     # data
     "Dataset": "wsmsnet.data",

@@ -55,12 +55,12 @@ def _parse_hw(text: str):
 
 
 def cmd_count(args) -> int:
-    from .cost import count_mults
+    from .cost import cost_report
     from .specs import model_from_config
 
     cfg = _load_config(args.config)
     spec = model_from_config(cfg.get("model", {}))
-    report = count_mults(spec, args.input)
+    report = cost_report(spec, args.input)
     name = Path(args.config).stem
     print(f"{'layer_path':44s} {'kind':5s} {'stage':5s} {'params':>12s} "
           f"{'mults':>15s}  out_shape")

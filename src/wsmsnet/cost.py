@@ -1,8 +1,9 @@
 """Static parameter and multiplication counting over model specs.
 
-The walk mirrors the runtime builder exactly but never instantiates arrays.
-Conventions: convolution weights carry no bias (batch norm follows every
-conv), multiplication counts cover convolution layers only (per batch
+Rows come from :func:`specs.stage_units`, the walk the runtime builder
+instantiates, so each conv row's path is the name of the runtime layer that
+runs it. Conventions: convolution weights carry no bias (batch norm follows
+every conv), multiplication counts cover convolution layers only (per batch
 element), and a weight shared across stages contributes parameters once but
 multiplications at every execution site.
 """
@@ -11,15 +12,16 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
-from .specs import (ConvBlock, DenseBlock, ResidualCompartment, WsmsSpec, stage_plan)
+from .specs import (ConfigError, ConvSite, Unit, WsmsSpec, integration_unit, stage_plan,
+                    stage_units)
 
 
 @dataclass(frozen=True)
 class LayerRow:
     path: str
-    kind: str        # conv | bn | fc | pool
+    kind: str        # conv | bn | fc
     stage: int       # 1..S for pathway layers, 0 for the merged head
     params: int
     mults: int
@@ -54,88 +56,6 @@ class CostReport:
                              "x".join(str(v) for v in r.out_shape)])
 
 
-def _conv_out(h: int, w: int, kernel: int, stride: int, padding: int) -> Tuple[int, int]:
-    oh = (h + 2 * padding - kernel) // stride + 1
-    ow = (w + 2 * padding - kernel) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ValueError(f"convolution output collapses at input {h}x{w}, "
-                         f"kernel {kernel}, stride {stride}, padding {padding}")
-    return oh, ow
-
-
-def _pool_half(h: int, w: int, path: str) -> Tuple[int, int]:
-    if h % 2 or w % 2:
-        raise ValueError(f"{path}: spatial extents {h}x{w} must be even to pool")
-    return h // 2, w // 2
-
-
-class _Walker:
-    def __init__(self, count_conv_params: bool):
-        self.rows: List[LayerRow] = []
-        self.count_conv_params = count_conv_params
-
-    def conv(self, path: str, stage: int, cin: int, cout: int, kernel: int,
-             stride: int, padding: int, h: int, w: int) -> Tuple[int, int]:
-        oh, ow = _conv_out(h, w, kernel, stride, padding)
-        params = cout * cin * kernel * kernel if self.count_conv_params else 0
-        mults = oh * ow * cout * cin * kernel * kernel
-        self.rows.append(LayerRow(path, "conv", stage, params, mults, (cout, oh, ow)))
-        return oh, ow
-
-    def bn(self, path: str, stage: int, channels: int, h: int, w: int) -> None:
-        self.rows.append(LayerRow(path, "bn", stage, 2 * channels, 0, (channels, h, w)))
-
-
-def _walk_stage(walker: _Walker, spec: WsmsSpec, stage: int, h: int, w: int) -> Tuple[int, int, int]:
-    """Emit rows for one pathway; returns (channels, h, w) of its output."""
-    backbone = spec.backbone
-    k = len(backbone.blocks)
-    upto = k - stage + 1
-    prefix = "" if spec.sharing == "shared" else f"stage{stage}."
-    h, w = walker.conv(f"{prefix}stem", stage, backbone.stem.in_channels,
-                       backbone.stem.out_channels, 3, 1, 1, h, w)
-    if backbone.stem.batch_norm:
-        walker.bn(f"stage{stage}.stem.bn", stage, backbone.stem.out_channels, h, w)
-    width = backbone.stem.out_channels
-    for bi, block in enumerate(backbone.blocks[:upto], start=1):
-        cpath = f"{prefix}block{bi}"
-        bpath = f"stage{stage}.block{bi}"
-        if isinstance(block, ResidualCompartment):
-            for u in range(block.units):
-                stride = block.downsample if u == 0 else 1
-                h, w = walker.conv(f"{cpath}.unit{u}.conv1", stage, width,
-                                   block.out_channels, 3, stride, 1, h, w)
-                walker.bn(f"{bpath}.unit{u}.bn1", stage, block.out_channels, h, w)
-                h, w = walker.conv(f"{cpath}.unit{u}.conv2", stage, block.out_channels,
-                                   block.out_channels, 3, 1, 1, h, w)
-                walker.bn(f"{bpath}.unit{u}.bn2", stage, block.out_channels, h, w)
-                width = block.out_channels
-        elif isinstance(block, DenseBlock):
-            if block.lead_transition is not None:
-                h, w = walker.conv(f"{cpath}.transition.conv", stage, width, width,
-                                   1, 1, 0, h, w)
-                walker.bn(f"{bpath}.transition.bn", stage, width, h, w)
-                h, w = _pool_half(h, w, f"{bpath}.transition")
-            for li in range(block.layers):
-                walker.bn(f"{bpath}.layer{li}.bn", stage, width, h, w)
-                walker.conv(f"{cpath}.layer{li}.conv", stage, width, block.growth,
-                            3, 1, 1, h, w)
-                width += block.growth
-        elif isinstance(block, ConvBlock):
-            if block.lead_pool:
-                h, w = _pool_half(h, w, f"{bpath}.pool")
-            for u in range(block.convs):
-                h, w = walker.conv(f"{cpath}.unit{u}.conv", stage, width,
-                                   block.out_channels, 3, 1, 1, h, w)
-                walker.bn(f"{bpath}.unit{u}.bn", stage, block.out_channels, h, w)
-                width = block.out_channels
-        else:
-            raise TypeError(f"unknown block kind {type(block).__name__}")
-    if backbone.stage_tail == "bn-relu":
-        walker.bn(f"stage{stage}.tail.bn", stage, width, h, w)
-    return width, h, w
-
-
 def cost_report(spec: WsmsSpec, input_hw: Tuple[int, int] = (32, 32)) -> CostReport:
     """Per-layer parameter and multiplication rows for the whole model."""
     spec.validate()
@@ -143,40 +63,47 @@ def cost_report(spec: WsmsSpec, input_hw: Tuple[int, int] = (32, 32)) -> CostRep
     h0, w0 = input_hw
     divisor = plan.scale_divisors[-1]
     if h0 % divisor or w0 % divisor:
-        raise ValueError(f"input {h0}x{w0} must divide by {divisor} "
-                         f"for {spec.stages} stages")
-    walker = _Walker(count_conv_params=True)
-    out_h = out_w = None
-    for s in range(1, spec.stages + 1):
-        if spec.sharing == "shared" and s > 1:
-            walker.count_conv_params = False  # weights already attributed to stage 1
-        d = plan.scale_divisors[s - 1]
-        _, sh, sw = _walk_stage(walker, spec, s, h0 // d, w0 // d)
-        if out_h is None:
-            out_h, out_w = sh, sw
-        elif (sh, sw) != (out_h, out_w):
-            raise ValueError(f"stage {s} output {sh}x{sw} does not match stage 1 "
-                             f"{out_h}x{out_w}")
-    walker.count_conv_params = True
-    if spec.integration != "none":
-        kernel = 1 if spec.integration == "conv1x1" else 3
-        walker.conv("integration.conv", 0, plan.concat_channels,
-                    spec.integration_channels, kernel, 1, kernel // 2, out_h, out_w)
-        walker.bn("integration.bn", 0, spec.integration_channels, out_h, out_w)
-    fc_in = plan.head_channels
-    fc_params = spec.class_count * fc_in + spec.class_count
-    walker.rows.append(LayerRow("fc", "fc", 0, fc_params, 0, (spec.class_count, 1, 1)))
-    return CostReport(walker.rows, input_hw)
+        raise ConfigError(f"input {h0}x{w0} must divide by {divisor} "
+                          f"for {spec.stages} stages")
+    rows: List[LayerRow] = []
+    counted: Set[str] = set()  # conv weights count their parameters at the first site only
 
+    def count(units: Iterable[Unit], stage: int, h: int, w: int) -> Tuple[int, int]:
+        """Emit rows for ``units`` entered at ``h`` x ``w``; returns the exit extent."""
+        for unit in units:
+            for site in unit.sites:
+                if isinstance(site, ConvSite):
+                    h = (h + 2 * site.padding - site.kernel) // site.stride + 1
+                    w = (w + 2 * site.padding - site.kernel) // site.stride + 1
+                    weights = site.out_channels * site.in_channels * site.kernel ** 2
+                    params = 0 if site.path in counted else weights
+                    counted.add(site.path)
+                    rows.append(LayerRow(site.path, "conv", stage, params, h * w * weights,
+                                         (site.out_channels, h, w)))
+                else:
+                    rows.append(LayerRow(site.path, "bn", stage, 2 * site.channels, 0,
+                                         (site.channels, h, w)))
+            if unit.kind in ("transition", "pool"):  # both end in 2x2 average pooling
+                if h % 2 or w % 2:
+                    raise ConfigError(f"stage{stage}.block{unit.block}.{unit.kind}: spatial "
+                                      f"extents {h}x{w} must be even to pool")
+                h, w = h // 2, w // 2
+        return h, w
 
-def count_params(spec: WsmsSpec) -> CostReport:
-    """Parameter counts; shapes are reported for a nominal 32x32 input."""
-    return cost_report(spec, (32, 32))
-
-
-def count_mults(spec: WsmsSpec, input_hw: Tuple[int, int]) -> CostReport:
-    """Per-example convolution multiplication counts at the given input size."""
-    return cost_report(spec, input_hw)
+    out_hw = None
+    for s, d in enumerate(plan.scale_divisors, start=1):
+        hw = count(stage_units(spec, s), s, h0 // d, w0 // d)
+        if out_hw is None:
+            out_hw = hw
+        elif hw != out_hw:
+            raise ConfigError(f"stage {s} output {hw[0]}x{hw[1]} does not match stage 1 "
+                              f"{out_hw[0]}x{out_hw[1]}")
+    head = integration_unit(spec)
+    if head is not None:
+        count([head], 0, *out_hw)
+    fc_params = spec.class_count * plan.head_channels + spec.class_count
+    rows.append(LayerRow("fc", "fc", 0, fc_params, 0, (spec.class_count, 1, 1)))
+    return CostReport(rows, input_hw)
 
 
 def stage_overhead(spec: WsmsSpec, input_hw: Tuple[int, int] = (32, 32)) -> Dict[int, float]:

@@ -129,14 +129,6 @@ def _suite_cases(seed: int) -> Dict[str, Callable[[], Tuple[Callable[[], Tensor]
             return ops.sum_all(ops.mul(ops.avg_pool_half(x), Tensor(fixed)))
         return loss, [x]
 
-    def max_pool_case():
-        rng = np.random.default_rng(seed + 6)
-        x = _rand(rng, 2, 3, 6, 6)
-        fixed = rng.standard_normal((2, 3, 3, 3))
-        def loss():
-            return ops.sum_all(ops.mul(ops.max_pool2(x), Tensor(fixed)))
-        return loss, [x]
-
     def global_pool_case():
         rng = np.random.default_rng(seed + 7)
         x = _rand(rng, 2, 5, 4, 4)
@@ -190,7 +182,6 @@ def _suite_cases(seed: int) -> Dict[str, Callable[[], Tuple[Callable[[], Tensor]
         "batch_norm": batch_norm_case,
         "relu": relu_case,
         "avg_pool_half": avg_pool_case,
-        "max_pool2": max_pool_case,
         "global_avg_pool": global_pool_case,
         "softmax_cross_entropy": softmax_case,
         "shortcut": shortcut_case,
@@ -209,7 +200,7 @@ def random_graph_case(seed: int, depth: int = 6):
     for _ in range(depth):
         choices = ["relu", "conv"]
         if h % 2 == 0 and h >= 4:
-            choices += ["avg_pool", "max_pool"]
+            choices.append("avg_pool")
         if channels <= 6:
             choices.append("branch_add")
         op = choices[rng.integers(0, len(choices))]
@@ -220,7 +211,7 @@ def random_graph_case(seed: int, depth: int = 6):
             channels = 4
         else:
             program.append((op, None))
-            if op in ("avg_pool", "max_pool"):
+            if op == "avg_pool":
                 h //= 2
 
     def loss():
@@ -232,8 +223,6 @@ def random_graph_case(seed: int, depth: int = 6):
                 y = ops.conv2d(y, w, padding=1)
             elif op == "avg_pool":
                 y = ops.avg_pool_half(y)
-            elif op == "max_pool":
-                y = ops.max_pool2(y)
             else:
                 y = ops.add(y, ops.scale(ops.relu(y), 0.5))
         return ops.sum_all(ops.global_avg_pool(y))

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 import numpy as np
 
 from .autodiff import Tensor, default_dtype
 from .ops import batch_norm, conv2d, linear
 
-ROLES = ("conv-weight", "conv-bias", "bn", "fc")
+ROLES = ("conv-weight", "bn", "fc")
 
 
 @dataclass
@@ -75,11 +75,10 @@ def he_init(shape, fan_in: int, rng: np.random.Generator) -> Tensor:
 
 
 class Conv2dLayer:
-    """Convolution whose weight (and optional bias) live in a ParamStore."""
+    """Bias-free convolution whose weight lives in a ParamStore."""
 
     def __init__(self, store: ParamStore, name: str, in_channels: int, out_channels: int,
-                 kernel: int, stride: int, padding: int, rng: np.random.Generator,
-                 bias: bool = False):
+                 kernel: int, stride: int, padding: int, rng: np.random.Generator):
         self.store = store
         self.name = name
         self.in_channels = in_channels
@@ -91,14 +90,9 @@ class Conv2dLayer:
         self.weight_id = store.create(
             name + ".weight", "conv-weight",
             he_init((out_channels, in_channels, kernel, kernel), fan_in, rng))
-        self.bias_id: Optional[int] = None
-        if bias:
-            self.bias_id = store.create(name + ".bias", "conv-bias",
-                                        np.zeros(out_channels, dtype=default_dtype()))
 
     def __call__(self, x: Tensor) -> Tensor:
-        b = self.store.tensor(self.bias_id) if self.bias_id is not None else None
-        return conv2d(x, self.store.tensor(self.weight_id), b,
+        return conv2d(x, self.store.tensor(self.weight_id),
                       stride=self.stride, padding=self.padding)
 
 

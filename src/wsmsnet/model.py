@@ -1,24 +1,25 @@
 """Runtime assembly and execution of multi-stage models.
 
-``build_model`` turns a :class:`WsmsSpec` into layer objects bound to one
-ParamStore. Under shared wiring the convolution layers are created once and
-referenced by every stage, so the tape accumulates their gradients across
-stages; batch norm layers are created fresh per stage.
+``build_model`` turns the layer sites that :func:`specs.stage_units` yields
+into layer objects bound to one ParamStore. A conv site's path names one
+layer, so under shared wiring every stage that runs a conv references the
+same object and the tape accumulates its gradients across stages; batch norm
+sites are per stage.
 """
 
 from __future__ import annotations
 
 import json
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from .autodiff import Tensor, default_dtype
+from .autodiff import Tensor
 from .layers import BatchNorm, Conv2dLayer, LinearLayer, ParamStore
 from .ops import (add, avg_pool_half, concat_channels, global_avg_pool, pad_channels,
                   relu, reshape, scale, subsample2)
-from .specs import (BackboneSpec, ConvBlock, DenseBlock, ResidualCompartment, WsmsSpec,
-                    model_from_config, model_to_config, stage_plan)
+from .specs import (ConvSite, WsmsSpec, integration_unit, model_from_config,
+                    model_to_config, stage_plan, stage_units)
 
 CHECKPOINT_VERSION = 1
 
@@ -129,107 +130,12 @@ class Stage:
             x = relu(self.tail_bn(x, training))
         return x
 
-    def batch_norms(self) -> List[BatchNorm]:
-        found = [] if self.stem_bn is None else [self.stem_bn]
-        for units in self.blocks:
-            for unit in units:
-                for attr in ("bn", "bn1", "bn2"):
-                    bn = getattr(unit, attr, None)
-                    if bn is not None:
-                        found.append(bn)
-        if self.tail_bn is not None:
-            found.append(self.tail_bn)
-        return found
 
-
-class _ConvKit:
-    """The convolution layers of one backbone walk; shared stages reuse one kit."""
-
-    def __init__(self, backbone: BackboneSpec, upto: int, store: ParamStore,
-                 rng: np.random.Generator, prefix: str):
-        self.stem = Conv2dLayer(store, prefix + "stem", backbone.stem.in_channels,
-                                backbone.stem.out_channels, kernel=3, stride=1, padding=1,
-                                rng=rng)
-        self.blocks = []
-        for bi, block in enumerate(backbone.blocks[:upto], start=1):
-            name = f"{prefix}block{bi}"
-            if isinstance(block, ResidualCompartment):
-                units = []
-                width_in = block.in_channels
-                for u in range(block.units):
-                    stride = block.downsample if u == 0 else 1
-                    units.append((
-                        Conv2dLayer(store, f"{name}.unit{u}.conv1", width_in,
-                                    block.out_channels, 3, stride, 1, rng),
-                        Conv2dLayer(store, f"{name}.unit{u}.conv2", block.out_channels,
-                                    block.out_channels, 3, 1, 1, rng),
-                    ))
-                    width_in = block.out_channels
-                self.blocks.append(units)
-            elif isinstance(block, DenseBlock):
-                trans = None
-                if block.lead_transition is not None:
-                    trans = Conv2dLayer(store, f"{name}.transition.conv",
-                                        block.in_channels, block.in_channels, 1, 1, 0, rng)
-                layers = []
-                width = block.in_channels
-                for li in range(block.layers):
-                    layers.append(Conv2dLayer(store, f"{name}.layer{li}.conv", width,
-                                              block.growth, 3, 1, 1, rng))
-                    width += block.growth
-                self.blocks.append((trans, layers))
-            elif isinstance(block, ConvBlock):
-                units = []
-                width_in = block.in_channels
-                for u in range(block.convs):
-                    units.append(Conv2dLayer(store, f"{name}.unit{u}.conv", width_in,
-                                             block.out_channels, 3, 1, 1, rng))
-                    width_in = block.out_channels
-                self.blocks.append(units)
-            else:
-                raise TypeError(f"unknown block kind {type(block).__name__}")
-
-
-def _make_stage(backbone: BackboneSpec, stage_index: int, upto: int, kit: _ConvKit,
-                store: ParamStore, rng: np.random.Generator) -> Stage:
-    prefix = f"stage{stage_index}"
-    stem_bn = None
-    if backbone.stem.batch_norm:
-        stem_bn = BatchNorm(store, f"{prefix}.stem.bn", backbone.stem.out_channels)
-    blocks = []
-    for bi, block in enumerate(backbone.blocks[:upto], start=1):
-        name = f"{prefix}.block{bi}"
-        units: list = []
-        if isinstance(block, ResidualCompartment):
-            width_in = block.in_channels
-            for u, (conv1, conv2) in enumerate(kit.blocks[bi - 1]):
-                stride = block.downsample if u == 0 else 1
-                units.append(ResidualUnit(
-                    conv1, BatchNorm(store, f"{name}.unit{u}.bn1", block.out_channels),
-                    conv2, BatchNorm(store, f"{name}.unit{u}.bn2", block.out_channels),
-                    width_in, block.out_channels, stride))
-                width_in = block.out_channels
-        elif isinstance(block, DenseBlock):
-            trans_conv, layer_convs = kit.blocks[bi - 1]
-            if trans_conv is not None:
-                units.append(TransitionUnit(
-                    trans_conv, BatchNorm(store, f"{name}.transition.bn", block.in_channels)))
-            width = block.in_channels
-            for li, conv in enumerate(layer_convs):
-                units.append(DenseLayer(BatchNorm(store, f"{name}.layer{li}.bn", width), conv))
-                width += block.growth
-        elif isinstance(block, ConvBlock):
-            if block.lead_pool:
-                units.append(PoolUnit())
-            for u, conv in enumerate(kit.blocks[bi - 1]):
-                units.append(ConvUnit(conv, BatchNorm(store, f"{name}.unit{u}.bn",
-                                                      block.out_channels)))
-        blocks.append(units)
-    tail_bn = None
-    if backbone.stage_tail == "bn-relu":
-        tail_width = backbone.blocks[upto - 1].out_channels
-        tail_bn = BatchNorm(store, f"{prefix}.tail.bn", tail_width)
-    return Stage(stage_index, kit.stem, stem_bn, blocks, tail_bn)
+# unit kind -> constructor taking the unit's layers in site order
+_UNIT_BUILDERS = {
+    "residual": lambda c1, b1, c2, b2: ResidualUnit(c1, b1, c2, b2, c1.in_channels,
+                                                    c1.out_channels, c1.stride),
+    "dense": DenseLayer, "transition": TransitionUnit, "conv": ConvUnit, "pool": PoolUnit}
 
 
 class Model:
@@ -237,14 +143,15 @@ class Model:
 
     def __init__(self, spec: WsmsSpec, store: ParamStore, stages: List[Stage],
                  integration_conv: Optional[Conv2dLayer],
-                 integration_bn: Optional[BatchNorm], fc: LinearLayer):
+                 integration_bn: Optional[BatchNorm], fc: LinearLayer,
+                 norms: List[BatchNorm]):
         self.spec = spec
         self.store = store
         self.stages = stages
         self.integration_conv = integration_conv
         self.integration_bn = integration_bn
         self.fc = fc
-        self.plan = stage_plan(spec)
+        self._norms = norms
 
     @property
     def class_count(self) -> int:
@@ -254,12 +161,8 @@ class Model:
         return self.store.num_scalars()
 
     def batch_norms(self) -> List[BatchNorm]:
-        found = []
-        for stage in self.stages:
-            found.extend(stage.batch_norms())
-        if self.integration_bn is not None:
-            found.append(self.integration_bn)
-        return found
+        """Every batch norm in creation order, which is the checkpoint's buffer order."""
+        return list(self._norms)
 
     def stage_features(self, x: Tensor, training: bool = False) -> List[Tensor]:
         levels = image_pyramid(x, self.spec.stages)
@@ -297,33 +200,58 @@ class Model:
 
 
 def build_model(spec: WsmsSpec, seed: int = 0) -> Model:
-    """Instantiate parameters for ``spec`` deterministically from ``seed``."""
-    spec.validate()
+    """Instantiate parameters for ``spec`` deterministically from ``seed``.
+
+    Each pathway first creates the convs it is the first to run, then its
+    batch norms, so under sharing stage 1 draws every conv before any batch
+    norm exists. That order fixes the ParamIds, the He-init draws and with
+    them the checkpoint layout.
+    """
+    plan = stage_plan(spec)
     store = ParamStore()
     rng = np.random.default_rng(seed)
-    backbone = spec.backbone
-    k = len(backbone.blocks)
-    plan = stage_plan(spec)
+    convs: Dict[str, Conv2dLayer] = {}
+    norms: List[BatchNorm] = []
 
-    shared_kit = None
-    if spec.sharing == "shared":
-        shared_kit = _ConvKit(backbone, k, store, rng, prefix="")
+    def instantiate(units) -> List[list]:
+        """Each unit's layers in site order, creating what does not exist yet."""
+        for unit in units:
+            for site in unit.sites:
+                if isinstance(site, ConvSite) and site.path not in convs:
+                    convs[site.path] = Conv2dLayer(
+                        store, site.path, site.in_channels, site.out_channels,
+                        site.kernel, site.stride, site.padding, rng)
+        layers = []
+        for unit in units:
+            made = []
+            for site in unit.sites:
+                if isinstance(site, ConvSite):
+                    made.append(convs[site.path])
+                else:
+                    norms.append(BatchNorm(store, site.path, site.channels))
+                    made.append(norms[-1])
+            layers.append(made)
+        return layers
+
     stages = []
     for s in range(1, spec.stages + 1):
-        upto = k - s + 1
-        kit = shared_kit
-        if kit is None:
-            kit = _ConvKit(backbone, upto, store, rng, prefix=f"stage{s}.")
-        stages.append(_make_stage(backbone, s, upto, kit, store, rng))
+        units = list(stage_units(spec, s))
+        layers = instantiate(units)
+        stem = layers[0]
+        tail_bn = layers[-1][0] if units[-1].kind == "tail" else None
+        blocks: List[list] = [[] for _ in range(plan.block_counts[s - 1])]
+        for unit, made in zip(units, layers):
+            if unit.block:
+                blocks[unit.block - 1].append(_UNIT_BUILDERS[unit.kind](*made))
+        stem_bn = stem[1] if len(stem) > 1 else None
+        stages.append(Stage(s, stem[0], stem_bn, blocks, tail_bn))
 
     integration_conv = integration_bn = None
-    if spec.integration != "none":
-        kernel = 1 if spec.integration == "conv1x1" else 3
-        integration_conv = Conv2dLayer(store, "integration.conv", plan.concat_channels,
-                                       spec.integration_channels, kernel, 1, kernel // 2, rng)
-        integration_bn = BatchNorm(store, "integration.bn", spec.integration_channels)
-    fc = LinearLayer(store, "fc", plan.head_channels, backbone.class_count, rng)
-    return Model(spec, store, stages, integration_conv, integration_bn, fc)
+    head = integration_unit(spec)
+    if head is not None:
+        integration_conv, integration_bn = instantiate([head])[0]
+    fc = LinearLayer(store, "fc", plan.head_channels, spec.class_count, rng)
+    return Model(spec, store, stages, integration_conv, integration_bn, fc, norms)
 
 
 def save_checkpoint(model: Model, path, extras: Optional[dict] = None) -> None:

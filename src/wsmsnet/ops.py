@@ -165,25 +165,6 @@ def avg_pool_half(x: Tensor) -> Tensor:
     return out
 
 
-def max_pool2(x: Tensor) -> Tensor:
-    """Max over non-overlapping 2x2 windows; ties go to the first cell row-major."""
-    _require_even_spatial(x, "max_pool2")
-    n, c, h, w = x.shape
-    oh, ow = h // 2, w // 2
-    win = np.ascontiguousarray(
-        x.data.reshape(n, c, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5)).reshape(n, c, oh, ow, 4)
-    idx = win.argmax(axis=-1)
-    out = _wrap(np.take_along_axis(win, idx[..., None], axis=-1)[..., 0])
-    if recording(x):
-        def bwd(g):
-            dwin = np.zeros_like(win)
-            np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-            dx = dwin.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-            return (np.ascontiguousarray(dx).reshape(n, c, h, w),)
-        push((x,), out, bwd)
-    return out
-
-
 def global_avg_pool(x: Tensor) -> Tensor:
     """Spatial mean, keeping singleton H and W axes."""
     _require_4d(x, "global_avg_pool")

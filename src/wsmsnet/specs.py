@@ -3,14 +3,16 @@
 A backbone is a stem convolution followed by pooling-delimited convolution
 blocks; downsampling always happens at the entry of a block, so truncating
 the trailing blocks of any stage leaves every pathway at the same spatial
-extent. These specs are plain data: the runtime model and the static cost
-model both walk them independently.
+extent. These specs are plain data. :func:`stage_units` is the one walk over
+them: the runtime builder instantiates the layer sites it yields and the
+static cost model counts them, so a runtime layer's name is its cost row's
+path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 INTEGRATIONS = ("none", "conv1x1", "conv3x3")
 SHARINGS = ("shared", "unshared")
@@ -40,14 +42,12 @@ class ResidualCompartment:
     out_channels: int
     units: int
     downsample: int
-    kind: ClassVar[str] = "residual-compartment"
 
 
 @dataclass(frozen=True)
 class Transition:
     """Channel-preserving 1x1 conv + BN + ReLU, then 2x2 average pooling."""
     channels: int
-    kind: ClassVar[str] = "transition"
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,6 @@ class DenseBlock:
     growth: int
     layers: int
     lead_transition: Optional[Transition] = None
-    kind: ClassVar[str] = "dense-block"
 
     @property
     def out_channels(self) -> int:
@@ -79,7 +78,6 @@ class ConvBlock:
     out_channels: int
     convs: int
     lead_pool: bool = False
-    kind: ClassVar[str] = "conv-block"
 
     @property
     def downsample(self) -> int:
@@ -115,10 +113,6 @@ class BackboneSpec:
                     f"block {i} expects {block.in_channels} input channels, "
                     f"previous width is {prev}")
             prev = block.out_channels
-
-    @property
-    def feature_channels(self) -> int:
-        return self.blocks[-1].out_channels
 
 
 @dataclass(frozen=True)
@@ -179,6 +173,103 @@ def stage_plan(spec: WsmsSpec) -> StagePlan:
     concat = sum(widths)
     head = concat if spec.integration == "none" else spec.integration_channels
     return StagePlan(tuple(divisors), tuple(counts), tuple(widths), concat, head)
+
+
+@dataclass(frozen=True)
+class ConvSite:
+    """One convolution; padding keeps the spatial extent at stride 1."""
+    path: str
+    in_channels: int
+    out_channels: int
+    kernel: int = 3
+    stride: int = 1
+
+    @property
+    def padding(self) -> int:
+        return self.kernel // 2
+
+
+@dataclass(frozen=True)
+class BnSite:
+    """One batch norm over ``channels`` feature maps."""
+    path: str
+    channels: int
+
+
+@dataclass(frozen=True)
+class Unit:
+    """One executable unit with its layer sites in execution order.
+
+    ``kind`` is stem, residual, dense, transition, conv, pool, tail or
+    integration. ``block`` is the 1-based backbone block the unit belongs to,
+    0 for the stem, the tail and the integration.
+    """
+    kind: str
+    block: int
+    sites: Tuple[Union[ConvSite, BnSite], ...] = ()
+
+
+def stage_units(spec: WsmsSpec, stage: int) -> Iterator[Unit]:
+    """Yield pathway ``stage``'s stem, block units and tail in execution order.
+
+    Conv paths carry a ``stage{s}.`` prefix only when weights are unshared, so
+    a shared conv has the same path at every stage that runs it; batch norm
+    paths always carry it.
+    """
+    backbone = spec.backbone
+    conv = "" if spec.sharing == "shared" else f"stage{stage}."
+    norm = f"stage{stage}."
+    stem = backbone.stem
+    sites: tuple = (ConvSite(conv + "stem", stem.in_channels, stem.out_channels),)
+    if stem.batch_norm:
+        sites += (BnSite(norm + "stem.bn", stem.out_channels),)
+    yield Unit("stem", 0, sites)
+    width = stem.out_channels
+    upto = len(backbone.blocks) - stage + 1
+    for b, block in enumerate(backbone.blocks[:upto], start=1):
+        c, n = f"{conv}block{b}", f"{norm}block{b}"
+        if isinstance(block, ResidualCompartment):
+            out = block.out_channels
+            for u in range(block.units):
+                stride = block.downsample if u == 0 else 1
+                yield Unit("residual", b, (
+                    ConvSite(f"{c}.unit{u}.conv1", width, out, stride=stride),
+                    BnSite(f"{n}.unit{u}.bn1", out),
+                    ConvSite(f"{c}.unit{u}.conv2", out, out),
+                    BnSite(f"{n}.unit{u}.bn2", out)))
+                width = out
+        elif isinstance(block, DenseBlock):
+            if block.lead_transition is not None:
+                yield Unit("transition", b, (
+                    ConvSite(f"{c}.transition.conv", width, width, kernel=1),
+                    BnSite(f"{n}.transition.bn", width)))
+            for li in range(block.layers):
+                yield Unit("dense", b, (BnSite(f"{n}.layer{li}.bn", width),
+                                        ConvSite(f"{c}.layer{li}.conv", width, block.growth)))
+                width += block.growth
+        elif isinstance(block, ConvBlock):
+            if block.lead_pool:
+                yield Unit("pool", b)
+            for u in range(block.convs):
+                yield Unit("conv", b, (
+                    ConvSite(f"{c}.unit{u}.conv", width, block.out_channels),
+                    BnSite(f"{n}.unit{u}.bn", block.out_channels)))
+                width = block.out_channels
+        else:
+            raise TypeError(f"unknown block kind {type(block).__name__}")
+    if backbone.stage_tail == "bn-relu":
+        yield Unit("tail", 0, (BnSite(norm + "tail.bn", width),))
+
+
+def integration_unit(spec: WsmsSpec) -> Optional[Unit]:
+    """The conv + BN that fuses the concatenated pathways, if the spec has one."""
+    if spec.integration == "none":
+        return None
+    kernel = 1 if spec.integration == "conv1x1" else 3
+    width = spec.integration_channels
+    return Unit("integration", 0, (
+        ConvSite("integration.conv", stage_plan(spec).concat_channels, width, kernel),
+        BnSite("integration.bn", width)))
 
 
 def build_resnet(n: int, class_count: int,
@@ -245,33 +336,54 @@ def build_conv_backbone(stem_channels: int, block_widths: Tuple[int, ...],
     return BackboneSpec("conv", stem, tuple(blocks), class_count, stage_tail="none")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(cfg: dict, key: str, default: int, section: str) -> int:
+    value = cfg.get(key, default)
+    if not _is_int(value):
+        raise ConfigError(f"{section} config field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _int_list(cfg: dict, key: str, default, section: str) -> Tuple[int, ...]:
+    value = cfg.get(key, default)
+    if not isinstance(value, (list, tuple)) or not all(_is_int(v) for v in value):
+        raise ConfigError(f"{section} config field {key!r} must be a list of integers, "
+                          f"got {value!r}")
+    return tuple(value)
+
+
 def backbone_from_config(cfg: dict) -> BackboneSpec:
     if not isinstance(cfg, dict):
         raise ConfigError(f"backbone config must be an object, got {type(cfg).__name__}")
     family = cfg.get("family")
     class_count = cfg.get("class_count")
-    if not isinstance(class_count, int):
+    if not _is_int(class_count):
         raise ConfigError("backbone config needs an integer 'class_count'")
     if family == "resnet":
         n = cfg.get("n")
-        if not isinstance(n, int):
+        if not _is_int(n):
             raise ConfigError("resnet config needs integer 'n' (units per compartment)")
-        channels = tuple(cfg.get("channels", (16, 32, 64)))
-        return build_resnet(n, class_count, channels)
+        return build_resnet(n, class_count, _int_list(cfg, "channels", (16, 32, 64), family))
     if family == "densenet":
         growth = cfg.get("growth")
-        if not isinstance(growth, int):
+        if not _is_int(growth):
             raise ConfigError("densenet config needs integer 'growth'")
         return build_densenet(growth, class_count,
-                              layers_per_block=cfg.get("layers_per_block", 32),
-                              blocks=cfg.get("blocks", 3),
-                              stem_channels=cfg.get("stem_channels", 16))
+                              layers_per_block=_int_field(cfg, "layers_per_block", 32, family),
+                              blocks=_int_field(cfg, "blocks", 3, family),
+                              stem_channels=_int_field(cfg, "stem_channels", 16, family))
     if family == "conv":
-        widths = cfg.get("block_widths")
-        if not isinstance(widths, list) or not widths:
+        widths = _int_list(cfg, "block_widths", None, family)
+        if not widths:
             raise ConfigError("conv config needs a non-empty 'block_widths' list")
-        return build_conv_backbone(cfg.get("stem_channels", widths[0]), tuple(widths),
-                                   cfg.get("convs_per_block", 1), class_count)
+        convs = cfg.get("convs_per_block", 1)
+        if not _is_int(convs):
+            convs = _int_list(cfg, "convs_per_block", None, family)
+        return build_conv_backbone(_int_field(cfg, "stem_channels", widths[0], family),
+                                   widths, convs, class_count)
     raise ConfigError(f"unknown backbone family {family!r}; expected one of {FAMILIES}")
 
 
@@ -300,9 +412,9 @@ def model_from_config(cfg: dict) -> WsmsSpec:
         raise ConfigError("model config needs a 'backbone' section")
     spec = WsmsSpec(
         backbone=backbone_from_config(cfg["backbone"]),
-        stages=cfg.get("stages", 1),
+        stages=_int_field(cfg, "stages", 1, "model"),
         integration=cfg.get("integration", "none"),
-        integration_channels=cfg.get("integration_channels", 128),
+        integration_channels=_int_field(cfg, "integration_channels", 128, "model"),
         sharing=cfg.get("sharing", "shared"),
     )
     spec.validate()

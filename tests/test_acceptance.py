@@ -18,7 +18,7 @@ import pytest
 
 from wsmsnet import cli, ops
 from wsmsnet.autodiff import Tape, Tensor, using_precision
-from wsmsnet.cost import count_mults, count_params, stage_overhead
+from wsmsnet.cost import cost_report, stage_overhead
 from wsmsnet.data import (SynthScaleConfig, normalize_per_channel,
                           synth_scale_dataset)
 from wsmsnet.gradcheck import run_suite
@@ -84,7 +84,7 @@ class TestResidualFamilyParameterTable:
     @pytest.mark.parametrize("name,target_m",
                              sorted(RESNET_PARAM_TARGETS_M.items()))
     def test_preset_total(self, name, target_m):
-        total_m = count_params(preset_spec(name)).total_params / 1e6
+        total_m = cost_report(preset_spec(name)).total_params / 1e6
         assert total_m == pytest.approx(target_m, rel=PARAM_RTOL), \
             f"{name}: {total_m:.4f}M vs target {target_m}M"
 
@@ -95,7 +95,7 @@ class TestDenseFamilyParameterTable:
     @pytest.mark.parametrize("name,target_m",
                              sorted(DENSENET_PARAM_TARGETS_M.items()))
     def test_preset_total(self, name, target_m):
-        total_m = count_params(preset_spec(name)).total_params / 1e6
+        total_m = cost_report(preset_spec(name)).total_params / 1e6
         assert total_m == pytest.approx(target_m, rel=PARAM_RTOL), \
             f"{name}: {total_m:.4f}M vs target {target_m}M"
 
@@ -105,7 +105,7 @@ class TestMultiplicationBudget:
 
     @pytest.mark.parametrize("name,target_m", sorted(MULT_TARGETS_M.items()))
     def test_preset_total(self, name, target_m):
-        total_m = count_mults(preset_spec(name), (32, 32)).total_mults / 1e6
+        total_m = cost_report(preset_spec(name), (32, 32)).total_mults / 1e6
         assert total_m == pytest.approx(target_m, rel=MULT_RTOL), \
             f"{name}: {total_m:.1f}M vs target {target_m}M"
 
@@ -254,8 +254,8 @@ class TestScaleGeneralizationBenchmark:
     scales smaller than anything seen in training, across seeds."""
 
     def test_twins_are_parameter_matched(self):
-        wsms = count_params(preset_spec("synth-wsms-tiny")).total_params
-        base = count_params(preset_spec("synth-baseline-tiny")).total_params
+        wsms = cost_report(preset_spec("synth-wsms-tiny")).total_params
+        base = cost_report(preset_spec("synth-baseline-tiny")).total_params
         assert abs(wsms - base) / wsms < PARAM_RTOL, (wsms, base)
 
     def test_held_out_scales_favor_shared_pathways(self, benchmark_results):

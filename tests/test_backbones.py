@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wsmsnet.autodiff import Tensor
-from wsmsnet.cost import count_params
+from wsmsnet.cost import cost_report
 from wsmsnet.model import build_model
 from wsmsnet.specs import (BackboneSpec, ConfigError, ResidualCompartment,
                            WsmsSpec, backbone_from_config, backbone_to_config,
@@ -29,7 +29,7 @@ class TestResnetSpec:
         # one 16-channel unit: two 3x3 convs plus two bn pairs
         spec = WsmsSpec(build_resnet(1, 10, channels=(16,)), stages=1)
         per_unit = 2 * (16 * 16 * 9) + 2 * (2 * 16)
-        unit_rows = [r for r in count_params(spec).rows if "block1.unit0" in r.path]
+        unit_rows = [r for r in cost_report(spec).rows if "block1.unit0" in r.path]
         assert sum(r.params for r in unit_rows) == per_unit == 4672
 
     def test_invalid_unit_count_rejected(self):
@@ -59,7 +59,7 @@ class TestDensenetSpec:
 
     def test_first_block_conv_parameter_total(self):
         spec = WsmsSpec(build_densenet(24, 10), stages=1)
-        rows = [r for r in count_params(spec).rows
+        rows = [r for r in cost_report(spec).rows
                 if r.path.startswith("block1.") and r.kind == "conv"]
         expected = sum(9 * (16 + 24 * i) * 24 for i in range(32))
         assert sum(r.params for r in rows) == expected == 2681856

@@ -83,6 +83,40 @@ class TestCount:
         assert "needs integer 'n'" in capsys.readouterr().err
 
 
+    def test_input_indivisible_by_pyramid_exits_2(self, capsys):
+        assert main(["count", str(PRESETS / "wsms-resnet110-1x1.json"),
+                     "--input", "30x30"]) == 2
+        assert "must divide by 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model,bad", [
+        ({"stages": "2"}, "stages"),
+        ({"integration_channels": "8"}, "integration_channels"),
+        ({"stages": True}, "stages"),
+        ({"backbone": {"family": "densenet", "growth": 4, "layers_per_block": "3",
+                       "class_count": 5}}, "layers_per_block"),
+        ({"backbone": {"family": "densenet", "growth": 4, "blocks": 2.0,
+                       "class_count": 5}}, "blocks"),
+        ({"backbone": {"family": "resnet", "n": 1, "channels": [8, "16"],
+                       "class_count": 5}}, "channels"),
+        ({"backbone": {"family": "resnet", "n": 1, "channels": 16,
+                       "class_count": 5}}, "channels"),
+        ({"backbone": {"family": "conv", "block_widths": [8, "8"],
+                       "class_count": 5}}, "block_widths"),
+        ({"backbone": {"family": "conv", "block_widths": [8, 8],
+                       "convs_per_block": [1, None], "class_count": 5}}, "convs_per_block"),
+    ], ids=["stages", "integration_channels", "bool-stages", "layers_per_block", "blocks",
+            "channels-item", "channels-scalar", "block_widths", "convs_per_block"])
+    def test_non_integer_field_exits_2(self, tmp_path, capsys, model, bad):
+        body = {"backbone": {"family": "resnet", "n": 1, "channels": [8, 16],
+                             "class_count": 5},
+                "stages": 2, "integration": "conv1x1", "integration_channels": 16}
+        body.update(model)
+        path = write_config(tmp_path, {"schema_version": 1, "model": body})
+        assert main(["count", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and bad in err
+
+
 class TestGradcheckCommand:
     def test_fault_injection_is_detected(self, capsys):
         assert main(["gradcheck", "--corrupt", "linear"]) == 1

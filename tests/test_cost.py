@@ -2,8 +2,7 @@ import io
 
 import pytest
 
-from wsmsnet.cost import (cost_report, count_mults, count_params,
-                          stage_overhead)
+from wsmsnet.cost import cost_report, stage_overhead
 from wsmsnet.model import build_model
 from wsmsnet.specs import (WsmsSpec, build_conv_backbone, build_densenet,
                            build_resnet)
@@ -39,43 +38,43 @@ class TestParameterTotals:
         _, n, stages, integration, sharing = key
         spec = WsmsSpec(build_resnet(n, 10), stages, integration,
                         sharing=sharing)
-        assert count_params(spec).total_params == total
+        assert cost_report(spec).total_params == total
 
     @pytest.mark.parametrize("key,total", sorted(DENSENET_PARAM_TOTALS.items()))
     def test_dense_family(self, key, total):
         growth, stages, integration, sharing = key
         spec = WsmsSpec(build_densenet(growth, 10), stages, integration,
                         sharing=sharing)
-        assert count_params(spec).total_params == total
+        assert cost_report(spec).total_params == total
 
 
 class TestMultiplicationTotals:
     def test_residual_single_stage(self):
         spec = WsmsSpec(RESNET, 1)
-        assert count_mults(spec, (32, 32)).total_mults == 252_887_040
+        assert cost_report(spec, (32, 32)).total_mults == 252_887_040
 
     def test_residual_three_stage_with_merge_conv(self):
         spec = WsmsSpec(RESNET, 3, "conv1x1")
-        assert count_mults(spec, (32, 32)).total_mults == 301_423_616
+        assert cost_report(spec, (32, 32)).total_mults == 301_423_616
 
     def test_dense_single_stage(self):
         spec = WsmsSpec(DENSENET, 1)
-        assert count_mults(spec, (32, 32)).total_mults == 6_889_324_544
+        assert cost_report(spec, (32, 32)).total_mults == 6_889_324_544
 
     def test_dense_three_stage_with_merge_conv(self):
         spec = WsmsSpec(DENSENET, 3, "conv1x1")
-        assert count_mults(spec, (32, 32)).total_mults == 8_454_528_000
+        assert cost_report(spec, (32, 32)).total_mults == 8_454_528_000
 
     def test_sharing_does_not_change_mults(self):
-        shared = count_mults(WsmsSpec(RESNET, 3, "conv1x1"), (32, 32))
-        unshared = count_mults(WsmsSpec(RESNET, 3, "conv1x1",
+        shared = cost_report(WsmsSpec(RESNET, 3, "conv1x1"), (32, 32))
+        unshared = cost_report(WsmsSpec(RESNET, 3, "conv1x1",
                                         sharing="unshared"), (32, 32))
         assert shared.total_mults == unshared.total_mults
 
     def test_conv_mults_scale_quadratically_with_resolution(self):
         spec = WsmsSpec(build_resnet(1, 5, channels=(8, 16)), stages=1)
-        small = count_mults(spec, (16, 16)).total_mults
-        large = count_mults(spec, (32, 32)).total_mults
+        small = cost_report(spec, (16, 16)).total_mults
+        large = cost_report(spec, (32, 32)).total_mults
         assert large == 4 * small
 
     def test_later_stages_are_cheap(self):
@@ -96,7 +95,7 @@ class TestStaticDynamicAgreement:
         WsmsSpec(build_conv_backbone(8, (8, 12), 1, 5), 2),
     ], ids=["tiny-1", "tiny-2", "res-3x3", "res-unshared", "dense", "plain-conv"])
     def test_count_matches_instantiated_store(self, spec):
-        assert count_params(spec).total_params == build_model(spec, 0).param_count()
+        assert cost_report(spec).total_params == build_model(spec, 0).param_count()
 
 
 class TestReportStructure:

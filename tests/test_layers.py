@@ -45,12 +45,6 @@ class TestConv2dLayer:
         y = layer(Tensor(np.zeros((2, 3, 8, 8))))
         assert y.shape == (2, 16, 8, 8)
 
-    def test_optional_bias(self):
-        store = ParamStore()
-        Conv2dLayer(store, "c", 2, 4, 1, 1, 0, np.random.default_rng(0), bias=True)
-        assert [e.role for e in store.entries()] == ["conv-weight", "conv-bias"]
-        assert store.num_scalars() == 4 * 2 + 4
-
 
 class TestBatchNorm:
     def build(self, channels=3):

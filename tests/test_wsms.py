@@ -5,7 +5,7 @@ import pytest
 
 from wsmsnet import ops
 from wsmsnet.autodiff import Tape, Tensor, using_precision
-from wsmsnet.cost import count_params
+from wsmsnet.cost import cost_report
 from wsmsnet.model import build_model, image_pyramid
 from wsmsnet.ops import softmax_cross_entropy
 from wsmsnet.specs import WsmsSpec, build_resnet
@@ -177,17 +177,17 @@ def backbone():
 class TestParameterOrdering:
 
     def test_integration_widths_order_totals(self, backbone):
-        totals = [count_params(WsmsSpec(backbone, 3, integ)).total_params
+        totals = [cost_report(WsmsSpec(backbone, 3, integ)).total_params
                   for integ in ("none", "conv1x1", "conv3x3")]
         assert totals[0] < totals[1] < totals[2]
 
     def test_sharing_saves_parameters(self, backbone):
-        shared = count_params(WsmsSpec(backbone, 3, "conv1x1")).total_params
-        unshared = count_params(WsmsSpec(backbone, 3, "conv1x1",
-                                         sharing="unshared")).total_params
+        shared = cost_report(WsmsSpec(backbone, 3, "conv1x1")).total_params
+        unshared = cost_report(WsmsSpec(backbone, 3, "conv1x1",
+                                        sharing="unshared")).total_params
         assert shared < unshared
 
     def test_extra_stages_cost_little(self, backbone):
-        one = count_params(WsmsSpec(backbone, 1)).total_params
-        three = count_params(WsmsSpec(backbone, 3)).total_params
+        one = cost_report(WsmsSpec(backbone, 1)).total_params
+        three = cost_report(WsmsSpec(backbone, 3)).total_params
         assert (three - one) / one < 0.01
