@@ -13,7 +13,8 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, using_precision
 from . import ops
-from .model import build_model
+from .layers import BatchNorm, Conv2dLayer, ParamStore
+from .model import ResidualUnit, build_model
 from .specs import WsmsSpec, build_resnet
 
 DEFAULT_STEP = 1e-5
@@ -113,6 +114,19 @@ def _suite_cases(seed: int) -> Dict[str, Callable[[], Tuple[Callable[[], Tensor]
             return ops.sum_all(ops.mul(y, Tensor(fixed)))
         return loss, [x, gamma, beta]
 
+    def batch_norm_eval_case():
+        rng = np.random.default_rng(seed + 12)
+        x = _rand(rng, 4, 3, 5, 5)
+        gamma = _rand(rng, 3)
+        beta = _rand(rng, 3)
+        running_mean = rng.standard_normal(3)
+        running_var = rng.random(3) + 0.5
+        fixed = rng.standard_normal((4, 3, 5, 5))
+        def loss():
+            y = ops.batch_norm(x, gamma, beta, running_mean, running_var, training=False)
+            return ops.sum_all(ops.mul(y, Tensor(fixed)))
+        return loss, [x, gamma, beta]
+
     def relu_case():
         rng = np.random.default_rng(seed + 4)
         x = _rand(rng, 3, 4, 4, 4)
@@ -175,11 +189,26 @@ def _suite_cases(seed: int) -> Dict[str, Callable[[], Tuple[Callable[[], Tensor]
             return ops.sum_all(ops.mul(y, Tensor(fixed)))
         return loss, [x1, x2, w]
 
+    def residual_unit_case():
+        # x feeds both conv1 and the identity shortcut; the tape must sum the
+        # gradients arriving along the two paths
+        rng = np.random.default_rng(seed + 13)
+        store = ParamStore()
+        conv1, conv2 = (Conv2dLayer(store, f"conv{i}", 3, 3, 3, 1, 1, rng) for i in (1, 2))
+        unit = ResidualUnit(conv1, BatchNorm(store, "bn1", 3), conv2,
+                            BatchNorm(store, "bn2", 3), 3, 3, 1)
+        x = _rand(rng, 2, 3, 5, 5)
+        fixed = rng.standard_normal((2, 3, 5, 5))
+        def loss():
+            return ops.sum_all(ops.mul(unit(x, training=True), Tensor(fixed)))
+        return loss, [x] + [e.tensor for e in store.entries()]
+
     return {
         "conv2d": conv2d_case,
         "conv2d-strided": conv2d_strided_case,
         "linear": linear_case,
         "batch_norm": batch_norm_case,
+        "batch_norm-eval": batch_norm_eval_case,
         "relu": relu_case,
         "avg_pool_half": avg_pool_case,
         "global_avg_pool": global_pool_case,
@@ -187,6 +216,7 @@ def _suite_cases(seed: int) -> Dict[str, Callable[[], Tuple[Callable[[], Tensor]
         "shortcut": shortcut_case,
         "concat_channels": concat_case,
         "shared-weight": shared_weight_case,
+        "residual-unit": residual_unit_case,
     }
 
 

@@ -180,8 +180,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     out = _wrap(np.maximum(x.data, 0))
     if recording(x):
+        kept = out.data  # positive exactly where x is, so x itself need not stay
         def bwd(g):
-            return (g * (x.data > 0),)  # gradient at exactly 0 is 0
+            return (g * (kept > 0),)  # gradient at exactly 0 is 0
         push((x,), out, bwd)
     return out
 
@@ -221,8 +222,9 @@ def scale(x: Tensor, factor: float) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     out = _wrap(x.data.sum())
     if recording(x):
+        shape = x.shape
         def bwd(g):
-            return (np.broadcast_to(g, x.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
         push((x,), out, bwd)
     return out
 
@@ -231,8 +233,9 @@ def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     out = _wrap(x.data.reshape(shape))
     if recording(x):
+        in_shape = x.shape
         def bwd(g):
-            return (g.reshape(x.shape),)
+            return (g.reshape(in_shape),)
         push((x,), out, bwd)
     return out
 
@@ -262,8 +265,9 @@ def subsample2(x: Tensor) -> Tensor:
     _require_4d(x, "subsample2")
     out = _wrap(np.ascontiguousarray(x.data[:, :, ::2, ::2]))
     if recording(x):
+        shape = x.shape
         def bwd(g):
-            dx = np.zeros(x.shape, dtype=g.dtype)
+            dx = np.zeros(shape, dtype=g.dtype)
             dx[:, :, ::2, ::2] = g
             return (dx,)
         push((x,), out, bwd)

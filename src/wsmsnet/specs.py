@@ -45,22 +45,17 @@ class ResidualCompartment:
 
 
 @dataclass(frozen=True)
-class Transition:
-    """Channel-preserving 1x1 conv + BN + ReLU, then 2x2 average pooling."""
-    channels: int
-
-
-@dataclass(frozen=True)
 class DenseBlock:
     """Densely connected block: ``layers`` iterations of BN-ReLU-conv3x3(growth).
 
-    ``lead_transition`` is the pooling transition that precedes every dense
-    block except the first; it is what delimits the block for stage truncation.
+    ``lead_transition`` puts a transition (a channel-preserving 1x1 conv + BN
+    + ReLU, then 2x2 average pooling) before the layers. Every dense block but
+    the first has one; it is what delimits the block for stage truncation.
     """
     in_channels: int
     growth: int
     layers: int
-    lead_transition: Optional[Transition] = None
+    lead_transition: bool = False
 
     @property
     def out_channels(self) -> int:
@@ -68,7 +63,7 @@ class DenseBlock:
 
     @property
     def downsample(self) -> int:
-        return 2 if self.lead_transition is not None else 1
+        return 2 if self.lead_transition else 1
 
 
 @dataclass(frozen=True)
@@ -107,12 +102,16 @@ class BackboneSpec:
         if self.blocks[0].downsample != 1:
             raise ConfigError("the first convolution block must not downsample")
         prev = self.stem.out_channels
+        if prev < 1:
+            raise ConfigError(f"stem width must be >= 1, got {prev}")
         for i, block in enumerate(self.blocks, start=1):
             if block.in_channels != prev:
                 raise ConfigError(
                     f"block {i} expects {block.in_channels} input channels, "
                     f"previous width is {prev}")
             prev = block.out_channels
+            if prev < 1:
+                raise ConfigError(f"block {i} width must be >= 1, got {prev}")
 
 
 @dataclass(frozen=True)
@@ -239,7 +238,7 @@ def stage_units(spec: WsmsSpec, stage: int) -> Iterator[Unit]:
                     BnSite(f"{n}.unit{u}.bn2", out)))
                 width = out
         elif isinstance(block, DenseBlock):
-            if block.lead_transition is not None:
+            if block.lead_transition:
                 yield Unit("transition", b, (
                     ConvSite(f"{c}.transition.conv", width, width, kernel=1),
                     BnSite(f"{n}.transition.bn", width)))
@@ -306,9 +305,8 @@ def build_densenet(growth: int, class_count: int, layers_per_block: int = 32,
     specs = []
     width = stem_channels
     for i in range(blocks):
-        lead = None if i == 0 else Transition(width)
         block = DenseBlock(in_channels=width, growth=growth,
-                           layers=layers_per_block, lead_transition=lead)
+                           layers=layers_per_block, lead_transition=i > 0)
         specs.append(block)
         width = block.out_channels
     return BackboneSpec("densenet", stem, tuple(specs), class_count, stage_tail="bn-relu")
@@ -327,6 +325,8 @@ def build_conv_backbone(stem_channels: int, block_widths: Tuple[int, ...],
     blocks = []
     prev = stem_channels
     for i, (width, convs) in enumerate(zip(block_widths, convs_per_block)):
+        if convs < 0:
+            raise ConfigError(f"block {i + 1} conv count must be >= 0, got {convs}")
         if convs == 0 and width != prev:
             raise ConfigError(f"block {i + 1} has no convs and cannot change width "
                               f"{prev} -> {width}")

@@ -54,7 +54,7 @@ class TestDensenetSpec:
         blocks = spec.blocks
         assert [b.in_channels for b in blocks] == [16, 784, 1552]
         assert [b.out_channels for b in blocks] == [784, 1552, 2320]
-        assert [b.lead_transition is not None for b in blocks] == [False, True, True]
+        assert [b.lead_transition for b in blocks] == [False, True, True]
         assert blocks[0].out_channels == 16 + 32 * 24
 
     def test_first_block_conv_parameter_total(self):

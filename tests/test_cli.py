@@ -104,8 +104,20 @@ class TestCount:
                        "class_count": 5}}, "block_widths"),
         ({"backbone": {"family": "conv", "block_widths": [8, 8],
                        "convs_per_block": [1, None], "class_count": 5}}, "convs_per_block"),
+        ({"backbone": {"family": "resnet", "n": 1, "channels": [8, -16],
+                       "class_count": 5}}, "block 2 width must be >= 1"),
+        ({"backbone": {"family": "resnet", "n": 1, "channels": [0, 16],
+                       "class_count": 5}}, "stem width must be >= 1"),
+        ({"backbone": {"family": "densenet", "growth": 4, "layers_per_block": 2,
+                       "stem_channels": -4, "class_count": 5}}, "stem width must be >= 1"),
+        ({"backbone": {"family": "conv", "block_widths": [8, -8],
+                       "class_count": 5}}, "block 2 width must be >= 1"),
+        ({"backbone": {"family": "conv", "block_widths": [8, 8],
+                       "convs_per_block": [1, -1], "class_count": 5}}, "conv count must be >= 0"),
     ], ids=["stages", "integration_channels", "bool-stages", "layers_per_block", "blocks",
-            "channels-item", "channels-scalar", "block_widths", "convs_per_block"])
+            "channels-item", "channels-scalar", "block_widths", "convs_per_block",
+            "negative-channels", "zero-channels", "negative-stem_channels",
+            "negative-block_widths", "negative-convs_per_block"])
     def test_non_integer_field_exits_2(self, tmp_path, capsys, model, bad):
         body = {"backbone": {"family": "resnet", "n": 1, "channels": [8, 16],
                              "class_count": 5},

@@ -1,11 +1,13 @@
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from wsmsnet import ops
+from wsmsnet import model, ops
 from wsmsnet.autodiff import Tape, Tensor, using_precision
+from wsmsnet.layers import BatchNorm, Conv2dLayer, ParamStore
 
 
 def tracked(arr) -> Tensor:
@@ -117,6 +119,77 @@ class TestTapeLifecycle:
             loss = ops.sum_all(ops.add(x, x))
         grads = tape.backward(loss)
         np.testing.assert_allclose(grads[x], [2.0, 2.0])
+
+
+class TestTapeLiveness:
+    """What a recorded graph keeps alive: only the arrays a backward reads."""
+
+    @staticmethod
+    def spied(kind, fn, live):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            live.setdefault(kind, []).append(weakref.ref(out.data))
+            return out
+        return call
+
+    def test_residual_forward_keeps_only_what_backward_reads(self, monkeypatch):
+        live = {}
+        monkeypatch.setattr(model, "add", self.spied("add", ops.add, live))
+        monkeypatch.setattr(model, "relu", self.spied("relu", ops.relu, live))
+        store, rng = ParamStore(), np.random.default_rng(0)
+        conv1, conv2 = (Conv2dLayer(store, f"conv{i}", 4, 4, 3, 1, 1, rng) for i in (1, 2))
+        bn1, bn2 = (BatchNorm(store, f"bn{i}", 4) for i in (1, 2))
+        unit = model.ResidualUnit(
+            self.spied("conv", conv1, live), self.spied("bn", bn1, live),
+            self.spied("conv", conv2, live), self.spied("bn", bn2, live), 4, 4, 1)
+        x = tracked(rng.standard_normal((2, 4, 6, 6)))
+        with Tape() as tape:
+            y = unit(x, training=True)
+            loss = ops.sum_all(y)
+        alive = {kind: [ref() is not None for ref in refs] for kind, refs in live.items()}
+        # batch norm outputs are read by no backward (the ReLU after the first
+        # keeps its own output), and add's backward reads nothing
+        assert alive == {"conv": [True, True], "bn": [False, False], "add": [False],
+                         "relu": [True, True]}
+        assert x in tape.backward(loss)
+
+    @pytest.mark.parametrize("spend", ("backward", "retain-then-release"))
+    def test_spent_tape_frees_activations_while_logits_live(self, spend):
+        rng = np.random.default_rng(1)
+        x = tracked(rng.standard_normal((2, 3, 6, 6)))
+        w1 = tracked(rng.standard_normal((4, 3, 3, 3)))
+        w2 = tracked(rng.standard_normal((5, 4, 3, 3)))
+        with Tape() as tape:
+            h = ops.relu(ops.conv2d(x, w1, padding=1))
+            logits = ops.reshape(ops.global_avg_pool(ops.conv2d(h, w2, padding=1)), (2, 5))
+            loss = ops.softmax_cross_entropy(logits, np.array([0, 3]))
+        conv_input = weakref.ref(h.data)
+        del h
+        assert conv_input() is not None
+        if spend == "backward":
+            tape.backward(loss)
+        else:
+            tape.backward(loss, retain=True)
+            assert conv_input() is not None
+            tape.release()
+        assert conv_input() is None
+        assert logits.shape == (2, 5) and loss.item() > 0
+
+    def test_retained_backward_repeats_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        x = tracked(rng.standard_normal((2, 3, 6, 6)))
+        w = tracked(rng.standard_normal((3, 3, 3, 3)))
+        gamma, beta = tracked(np.ones(3)), tracked(np.zeros(3))
+        with Tape() as tape:
+            y = ops.batch_norm(ops.conv2d(x, w, padding=1), gamma, beta,
+                               np.zeros(3), np.ones(3), training=True)
+            y = ops.relu(ops.add(ops.conv2d(ops.relu(y), w, padding=1), x))
+            loss = ops.sum_all(ops.mul(y, y))
+        first = tape.backward(loss, retain=True)
+        second = tape.backward(loss, retain=True)
+        assert [id(t) for t in first] == [id(t) for t in second]
+        for t in (x, w, gamma, beta):
+            assert_same_bits(second[t], first[t])
 
 
 class TestConv2d:
