@@ -119,11 +119,7 @@ def _resolve_datasets(cfg: dict, data_arg, seed_override=None):
             raise ConfigError(f"synth eval_split must be 'held' or 'seen', got {split!r}")
         if seed_override is not None:
             section["seed"] = seed_override
-        try:
-            scfg = SynthScaleConfig(**{k: tuple(v) if isinstance(v, list) else v
-                                       for k, v in section.items()})
-        except TypeError as err:
-            raise ConfigError(f"bad synth data section: {err}") from err
+        scfg = SynthScaleConfig.from_dict(section)
         train_ds, seen, held = synth_scale_dataset(scfg)
         eval_ds = held if split == "held" else seen
         train_n, (eval_n,), mean, std = normalize_per_channel(train_ds, eval_ds)
@@ -174,15 +170,12 @@ def cmd_train(args) -> int:
 
     cfg = _load_config(args.config)
     spec = model_from_config(cfg.get("model", {}))
+    overrides = {key: value for key, value in (("seed", args.seed), ("epochs", args.epochs))
+                 if value is not None}
     try:
-        tcfg = TrainConfig.from_dict(cfg.get("train", {}))
+        tcfg = TrainConfig.from_dict({**cfg.get("train", {}), **overrides})
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"{args.config}: bad train section: {err}") from err
-    if args.seed is not None:
-        tcfg.seed = args.seed
-    if args.epochs is not None:
-        tcfg.epochs = args.epochs
-        tcfg.validate()
+        raise ConfigError(f"{args.config}: bad train settings: {err}") from err
 
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -247,11 +240,11 @@ def cmd_eval(args) -> int:
 def cmd_synth_data(args) -> int:
     from .data import SynthScaleConfig, save_synth
 
-    cfg = SynthScaleConfig(
-        class_count=args.classes, image_size=args.image_size,
-        train_scales=tuple(args.train_scales), test_scales=tuple(args.test_scales),
-        train_per_class=args.train_per_class, test_per_class=args.test_per_class,
-        noise=args.noise, seed=args.seed)
+    cfg = SynthScaleConfig.from_dict({
+        "class_count": args.classes, "image_size": args.image_size,
+        "train_scales": args.train_scales, "test_scales": args.test_scales,
+        "train_per_class": args.train_per_class, "test_per_class": args.test_per_class,
+        "noise": args.noise, "seed": args.seed})
     manifest = save_synth(args.out, cfg)
     total = sum(info["examples"] for info in manifest["splits"].values())
     print(f"wrote {total} examples across {len(manifest['splits'])} splits to {args.out}")

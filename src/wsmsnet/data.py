@@ -10,11 +10,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
+
+from .specs import ConfigError
 
 log = logging.getLogger(__name__)
 
@@ -165,6 +167,10 @@ class SynthScaleConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _same_kind(value, f.default):
+                raise TypeError(f"{f.name} must be like {f.default!r}, got {value!r}")
         if not 2 <= self.class_count <= len(GLYPHS):
             raise ValueError(f"class_count must be in [2, {len(GLYPHS)}], "
                              f"got {self.class_count}")
@@ -184,6 +190,30 @@ class SynthScaleConfig:
                              f"at image_size {self.image_size}")
         if self.noise < 0:
             raise ValueError(f"noise must be >= 0, got {self.noise}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+    @classmethod
+    def from_dict(cls, cfg: dict) -> "SynthScaleConfig":
+        """Build and validate a config from its JSON form, where the scale
+        ranges are lists. Any bad key, type or value raises ConfigError."""
+        try:
+            config = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()})
+            config.validate()
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"bad synth data section: {err}") from err
+        return config
+
+
+def _same_kind(value, default) -> bool:
+    """Whether ``value`` fits a field whose default is ``default``: an integer
+    for an integer, any number for a float, a pair of numbers for a pair."""
+    if isinstance(default, tuple):
+        return (isinstance(value, tuple) and len(value) == 2
+                and all(_same_kind(v, 0.0) for v in value))
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or not isinstance(default, int)
 
 
 def _glyph_mask(glyph: str, dx: np.ndarray, dy: np.ndarray, r: float) -> np.ndarray:
@@ -294,8 +324,7 @@ def load_synth(data_dir) -> Tuple[SynthScaleConfig, dict]:
     """Load a persisted benchmark directory. Returns (config, split datasets)."""
     data_dir = Path(data_dir)
     manifest = json.loads((data_dir / "manifest.json").read_text())
-    cfg = SynthScaleConfig(**{k: tuple(v) if isinstance(v, list) else v
-                              for k, v in manifest["config"].items()})
+    cfg = SynthScaleConfig.from_dict(manifest["config"])
     splits = {}
     for split, info in manifest["splits"].items():
         ds = load_cifar(data_dir / info["file"], "cifar10")

@@ -14,8 +14,8 @@ import numpy as np
 from .autodiff import Tape, Tensor, using_precision
 from . import ops
 from .layers import BatchNorm, Conv2dLayer, ParamStore
-from .model import ResidualUnit, build_model
-from .specs import WsmsSpec, build_resnet
+from .model import build_model, run_unit
+from .specs import BnSite, ConfigError, ConvSite, Unit, WsmsSpec, build_resnet
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
@@ -46,8 +46,9 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def check(build_loss: Callable[[], Tensor], params: Sequence[Tensor],
-          step: float = DEFAULT_STEP) -> float:
-    """Worst relative error across params between tape and finite differences."""
+          step: float = DEFAULT_STEP, fault: float = 1.0) -> float:
+    """Worst relative error across params between tape and finite differences,
+    with the tape's gradients scaled by ``fault`` (1.01 simulates a broken rule)."""
     with Tape() as tape:
         loss = build_loss()
         grads = tape.backward(loss)
@@ -57,7 +58,7 @@ def check(build_loss: Callable[[], Tensor], params: Sequence[Tensor],
         if analytic is None:
             raise RuntimeError("a checked parameter received no gradient")
         numeric = numeric_grad(lambda: build_loss().item(), p.data, step)
-        worst = max(worst, max_rel_error(analytic, numeric))
+        worst = max(worst, max_rel_error(analytic * fault, numeric))
     return worst
 
 
@@ -74,12 +75,11 @@ def _suite_cases(seed: int) -> Dict[str, Callable[[], Tuple[Callable[[], Tensor]
         rng = np.random.default_rng(seed)
         x = _rand(rng, 2, 4, 6, 6)
         w = _rand(rng, 3, 4, 3, 3)
-        b = _rand(rng, 3)
         fixed = rng.standard_normal((2, 3, 6, 6))
         def loss():
-            return ops.sum_all(ops.mul(ops.conv2d(x, w, b, stride=1, padding=1),
+            return ops.sum_all(ops.mul(ops.conv2d(x, w, stride=1, padding=1),
                                        Tensor(fixed)))
-        return loss, [x, w, b]
+        return loss, [x, w]
 
     def conv2d_strided_case():
         rng = np.random.default_rng(seed + 1)
@@ -195,12 +195,14 @@ def _suite_cases(seed: int) -> Dict[str, Callable[[], Tuple[Callable[[], Tensor]
         rng = np.random.default_rng(seed + 13)
         store = ParamStore()
         conv1, conv2 = (Conv2dLayer(store, f"conv{i}", 3, 3, 3, 1, 1, rng) for i in (1, 2))
-        unit = ResidualUnit(conv1, BatchNorm(store, "bn1", 3), conv2,
-                            BatchNorm(store, "bn2", 3), 3, 3, 1)
+        layers = [conv1, BatchNorm(store, "bn1", 3), conv2, BatchNorm(store, "bn2", 3)]
+        unit = Unit("residual", 1, (ConvSite("conv1", 3, 3), BnSite("bn1", 3),
+                                    ConvSite("conv2", 3, 3), BnSite("bn2", 3)))
         x = _rand(rng, 2, 3, 5, 5)
         fixed = rng.standard_normal((2, 3, 5, 5))
         def loss():
-            return ops.sum_all(ops.mul(unit(x, training=True), Tensor(fixed)))
+            return ops.sum_all(ops.mul(run_unit(unit, layers, x, training=True),
+                                       Tensor(fixed)))
         return loss, [x] + [e.tensor for e in store.entries()]
 
     return {
@@ -275,42 +277,22 @@ def tiny_model_case(seed: int):
     return loss, [e.tensor for e in model.store.entries()]
 
 
-def run_suite(seed: int = 0, step: float = DEFAULT_STEP,
-              tolerance: float = DEFAULT_TOLERANCE,
-              corrupt: Optional[str] = None) -> Dict[str, float]:
+def run_suite(seed: int = 0, corrupt: Optional[str] = None) -> Dict[str, float]:
     """Gradcheck every primitive, random compositions, and a tiny model.
 
-    Returns {case name: max relative error}. ``corrupt`` injects a fault into
-    the named case's analytic gradient so the comparison machinery itself can
+    Returns {case name: max relative error}. ``corrupt`` scales the named
+    case's analytic gradient by 1.01 so the comparison machinery itself can
     be shown to catch a broken backward rule.
     """
+    cases = _suite_cases(seed)
+    for g in range(3):
+        cases[f"random-graph-{g}"] = lambda g=g: random_graph_case(seed + 20 + g)
+    cases["wsms-tiny-model"] = lambda: tiny_model_case(seed)
+    if corrupt is not None and corrupt not in cases:
+        raise ConfigError(f"unknown gradcheck case {corrupt!r}")
     results: Dict[str, float] = {}
     with using_precision("f64"):
-        for name, factory in _suite_cases(seed).items():
+        for name, factory in cases.items():
             build_loss, params = factory()
-            err = _check_with_fault(build_loss, params, step, name == corrupt)
-            results[name] = err
-        for g in range(3):
-            name = f"random-graph-{g}"
-            build_loss, params = random_graph_case(seed + 20 + g)
-            results[name] = _check_with_fault(build_loss, params, step, name == corrupt)
-        name = "wsms-tiny-model"
-        build_loss, params = tiny_model_case(seed)
-        results[name] = _check_with_fault(build_loss, params, step, name == corrupt)
-    if corrupt is not None and corrupt not in results:
-        raise ValueError(f"unknown gradcheck case {corrupt!r}")
+            results[name] = check(build_loss, params, fault=1.01 if name == corrupt else 1.0)
     return results
-
-
-def _check_with_fault(build_loss, params, step, inject: bool) -> float:
-    if not inject:
-        return check(build_loss, params, step)
-    with Tape() as tape:
-        loss = build_loss()
-        grads = tape.backward(loss)
-    worst = 0.0
-    for p in params:
-        analytic = grads[p] * 1.01  # simulated broken backward rule
-        numeric = numeric_grad(lambda: build_loss().item(), p.data, step)
-        worst = max(worst, max_rel_error(analytic, numeric))
-    return worst

@@ -52,15 +52,9 @@ class ParamStore:
     def tensor(self, pid: int) -> Tensor:
         return self._entries[pid].tensor
 
-    def entry(self, pid: int) -> ParamEntry:
-        return self._entries[pid]
-
     def entries(self) -> Iterator[ParamEntry]:
         for pid in sorted(self._entries):
             yield self._entries[pid]
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def num_scalars(self) -> int:
         return sum(e.tensor.size for e in self._entries.values())
@@ -97,15 +91,13 @@ class Conv2dLayer:
 
 
 class BatchNorm:
-    """Batch normalization with private affine parameters and running buffers."""
+    """Batch normalization with private affine parameters and running buffers,
+    at ``ops.batch_norm``'s default momentum and epsilon."""
 
-    def __init__(self, store: ParamStore, name: str, channels: int,
-                 momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, store: ParamStore, name: str, channels: int):
         self.store = store
         self.name = name
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.gamma_id = store.create(name + ".gamma", "bn", np.ones(channels, dtype=default_dtype()))
         self.beta_id = store.create(name + ".beta", "bn", np.zeros(channels, dtype=default_dtype()))
         self.running_mean = np.zeros(channels, dtype=default_dtype())
@@ -113,8 +105,7 @@ class BatchNorm:
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return batch_norm(x, self.store.tensor(self.gamma_id), self.store.tensor(self.beta_id),
-                          self.running_mean, self.running_var,
-                          training=training, momentum=self.momentum, eps=self.eps)
+                          self.running_mean, self.running_var, training=training)
 
 
 class LinearLayer:

@@ -1,24 +1,28 @@
 """Runtime assembly and execution of multi-stage models.
 
-``build_model`` turns the layer sites that :func:`specs.stage_units` yields
-into layer objects bound to one ParamStore. A conv site's path names one
-layer, so under shared wiring every stage that runs a conv references the
-same object and the tape accumulates its gradients across stages; batch norm
-sites are per stage.
+The runtime executes the walk the cost model counts. ``build_model`` turns
+the units :func:`specs.stage_units` yields into layer objects bound to one
+ParamStore, and :func:`run_unit` runs each unit over its layers in site
+order. A conv site's path names one layer, so under shared wiring every stage
+that runs a conv references the same object and the tape accumulates its
+gradients across stages; batch norm sites are per stage.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+import os
+from pathlib import Path
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .autodiff import Tensor
 from .layers import BatchNorm, Conv2dLayer, LinearLayer, ParamStore
-from .ops import (add, avg_pool_half, concat_channels, global_avg_pool, pad_channels,
+# scale stays bound, unused, because perfbench/tracing.py wraps it here by name
+from .ops import (add, avg_pool_half, concat_channels, global_avg_pool, pad_channels,  # noqa: F401
                   relu, reshape, scale, subsample2)
-from .specs import (ConvSite, WsmsSpec, integration_unit, model_from_config,
+from .specs import (ConvSite, Unit, WsmsSpec, integration_unit, model_from_config,
                     model_to_config, stage_plan, stage_units)
 
 CHECKPOINT_VERSION = 1
@@ -42,114 +46,66 @@ def image_pyramid(x: Tensor, stages: int) -> List[Tensor]:
     return levels
 
 
-class ResidualUnit:
-    """conv-BN-ReLU-conv-BN plus shortcut, ReLU after the addition."""
+def run_unit(unit: Unit, layers: list, x: Tensor, training: bool) -> Tensor:
+    """Run ``unit`` over its layers, one per site, in site order.
 
-    def __init__(self, conv1: Conv2dLayer, bn1: BatchNorm, conv2: Conv2dLayer,
-                 bn2: BatchNorm, in_channels: int, out_channels: int, stride: int):
-        self.conv1, self.bn1 = conv1, bn1
-        self.conv2, self.bn2 = conv2, bn2
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.stride = stride
-
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        y = relu(self.bn1(self.conv1(x), training))
-        y = self.bn2(self.conv2(y), training)
-        shortcut = x
-        if self.stride == 2:
-            shortcut = subsample2(shortcut)
-        if self.out_channels > self.in_channels:
-            shortcut = pad_channels(shortcut, self.out_channels)
-        return relu(add(y, shortcut))
-
-
-class DenseLayer:
-    """BN-ReLU-conv3x3 producing ``growth`` channels, concatenated onto the input."""
-
-    def __init__(self, bn: BatchNorm, conv: Conv2dLayer):
-        self.bn = bn
-        self.conv = conv
-
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        y = self.conv(relu(self.bn(x, training)))
+    A conv applies and a batch norm is followed by ReLU. The last ReLU of a
+    residual unit comes after the shortcut is added: the input, subsampled at
+    stride 2 and zero-padded when the unit widens. A dense unit concatenates
+    its output onto its input; transition and pool units end in 2x2 average
+    pooling.
+    """
+    # relu(bn(...)) frees each batch-norm output only after its ReLU has run;
+    # freeing it first made a resnet110 training step page-fault 3-5x as often
+    y = x
+    last = len(layers) - 1
+    for i, (site, layer) in enumerate(zip(unit.sites, layers)):
+        if isinstance(site, ConvSite):
+            y = layer(y)
+        elif unit.kind == "residual" and i == last:
+            y = layer(y, training)
+            entry = unit.sites[0]
+            shortcut = subsample2(x) if entry.stride == 2 else x
+            if entry.out_channels > entry.in_channels:
+                shortcut = pad_channels(shortcut, entry.out_channels)
+            y = relu(add(y, shortcut))
+        else:
+            y = relu(layer(y, training))
+    if unit.kind == "dense":
         return concat_channels([x, y])
-
-
-class TransitionUnit:
-    """Channel-preserving 1x1 conv + BN + ReLU, then 2x2 average pooling."""
-
-    def __init__(self, conv: Conv2dLayer, bn: BatchNorm):
-        self.conv = conv
-        self.bn = bn
-
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return avg_pool_half(relu(self.bn(self.conv(x), training)))
-
-
-class ConvUnit:
-    """conv3x3-BN-ReLU."""
-
-    def __init__(self, conv: Conv2dLayer, bn: BatchNorm):
-        self.conv = conv
-        self.bn = bn
-
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return relu(self.bn(self.conv(x), training))
-
-
-class PoolUnit:
-    """Parameter-free 2x2 average pooling at a conv block entry."""
-
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return avg_pool_half(x)
+    if unit.kind in ("transition", "pool"):
+        return avg_pool_half(y)
+    return y
 
 
 class Stage:
-    """One pathway: stem plus the leading blocks of the backbone."""
+    """One pathway: its units from :func:`specs.stage_units`, each with its layers."""
 
-    def __init__(self, index: int, stem_conv: Conv2dLayer, stem_bn: Optional[BatchNorm],
-                 blocks: List[list], tail_bn: Optional[BatchNorm]):
+    def __init__(self, index: int, units: List[Tuple[Unit, list]]):
         self.index = index
-        self.stem_conv = stem_conv
-        self.stem_bn = stem_bn
-        self.blocks = blocks
-        self.tail_bn = tail_bn
+        self.units = units
 
     def __call__(self, x: Tensor, training: bool = False,
                  upto_block: Optional[int] = None) -> Tensor:
-        x = self.stem_conv(x)
-        if self.stem_bn is not None:
-            x = relu(self.stem_bn(x, training))
-        for number, units in enumerate(self.blocks, start=1):
-            for unit in units:
-                x = unit(x, training)
-            if upto_block is not None and number == upto_block:
-                return x
-        if self.tail_bn is not None:
-            x = relu(self.tail_bn(x, training))
+        """Run every unit, or with ``upto_block`` only the stem and blocks
+        1..upto_block, stopping before any later block or the tail."""
+        for unit, layers in self.units:
+            if upto_block is not None and (unit.block > upto_block or unit.kind == "tail"):
+                break
+            x = run_unit(unit, layers, x, training)
         return x
-
-
-# unit kind -> constructor taking the unit's layers in site order
-_UNIT_BUILDERS = {
-    "residual": lambda c1, b1, c2, b2: ResidualUnit(c1, b1, c2, b2, c1.in_channels,
-                                                    c1.out_channels, c1.stride),
-    "dense": DenseLayer, "transition": TransitionUnit, "conv": ConvUnit, "pool": PoolUnit}
 
 
 class Model:
     """Executable multi-stage network bound to one ParamStore."""
 
     def __init__(self, spec: WsmsSpec, store: ParamStore, stages: List[Stage],
-                 integration_conv: Optional[Conv2dLayer],
-                 integration_bn: Optional[BatchNorm], fc: LinearLayer,
+                 integration: Optional[Tuple[Unit, list]], fc: LinearLayer,
                  norms: List[BatchNorm]):
         self.spec = spec
         self.store = store
         self.stages = stages
-        self.integration_conv = integration_conv
-        self.integration_bn = integration_bn
+        self.integration = integration
         self.fc = fc
         self._norms = norms
 
@@ -175,28 +131,19 @@ class Model:
         return feats
 
     def integrate(self, x: Tensor, training: bool = False) -> Tensor:
-        if self.integration_conv is not None:
-            x = relu(self.integration_bn(self.integration_conv(x), training))
+        if self.integration is not None:
+            unit, layers = self.integration
+            x = run_unit(unit, layers, x, training)
         return x
 
-    def forward(self, x: Tensor, training: bool = False,
-                stage_gains: Optional[List[float]] = None) -> Tensor:
-        """Run the pyramid through every stage and classify the merged features.
-
-        ``stage_gains`` multiplies each stage output by a constant (used to
-        isolate pathways in tests); None leaves the outputs untouched.
-        """
+    def forward(self, x: Tensor, training: bool = False) -> Tensor:
+        """Run the pyramid through every stage and classify the merged features."""
         feats = self.stage_features(x, training)
-        if stage_gains is not None:
-            feats = [scale(f, g) for f, g in zip(feats, stage_gains)]
         merged = feats[0] if len(feats) == 1 else concat_channels(feats)
         merged = self.integrate(merged, training)
         pooled = global_avg_pool(merged)
         flat = reshape(pooled, (pooled.shape[0], pooled.shape[1]))
         return self.fc(flat)
-
-    def __call__(self, x: Tensor, training: bool = False) -> Tensor:
-        return self.forward(x, training)
 
 
 def build_model(spec: WsmsSpec, seed: int = 0) -> Model:
@@ -213,15 +160,15 @@ def build_model(spec: WsmsSpec, seed: int = 0) -> Model:
     convs: Dict[str, Conv2dLayer] = {}
     norms: List[BatchNorm] = []
 
-    def instantiate(units) -> List[list]:
-        """Each unit's layers in site order, creating what does not exist yet."""
+    def instantiate(units: List[Unit]) -> List[Tuple[Unit, list]]:
+        """Each unit with its layers in site order, creating what does not exist yet."""
         for unit in units:
             for site in unit.sites:
                 if isinstance(site, ConvSite) and site.path not in convs:
                     convs[site.path] = Conv2dLayer(
                         store, site.path, site.in_channels, site.out_channels,
                         site.kernel, site.stride, site.padding, rng)
-        layers = []
+        pairs = []
         for unit in units:
             made = []
             for site in unit.sites:
@@ -230,32 +177,23 @@ def build_model(spec: WsmsSpec, seed: int = 0) -> Model:
                 else:
                     norms.append(BatchNorm(store, site.path, site.channels))
                     made.append(norms[-1])
-            layers.append(made)
-        return layers
+            pairs.append((unit, made))
+        return pairs
 
-    stages = []
-    for s in range(1, spec.stages + 1):
-        units = list(stage_units(spec, s))
-        layers = instantiate(units)
-        stem = layers[0]
-        tail_bn = layers[-1][0] if units[-1].kind == "tail" else None
-        blocks: List[list] = [[] for _ in range(plan.block_counts[s - 1])]
-        for unit, made in zip(units, layers):
-            if unit.block:
-                blocks[unit.block - 1].append(_UNIT_BUILDERS[unit.kind](*made))
-        stem_bn = stem[1] if len(stem) > 1 else None
-        stages.append(Stage(s, stem[0], stem_bn, blocks, tail_bn))
-
-    integration_conv = integration_bn = None
+    stages = [Stage(s, instantiate(list(stage_units(spec, s))))
+              for s in range(1, spec.stages + 1)]
     head = integration_unit(spec)
-    if head is not None:
-        integration_conv, integration_bn = instantiate([head])[0]
+    integration = instantiate([head])[0] if head is not None else None
     fc = LinearLayer(store, "fc", plan.head_channels, spec.class_count, rng)
-    return Model(spec, store, stages, integration_conv, integration_bn, fc, norms)
+    return Model(spec, store, stages, integration, fc, norms)
 
 
 def save_checkpoint(model: Model, path, extras: Optional[dict] = None) -> None:
-    """Write parameters, batch norm buffers, and the model config to one npz file."""
+    """Write parameters, batch norm buffers, and the model config to one npz file.
+
+    The archive is written to ``<path>.tmp`` and then renamed over ``path``, so
+    a save that fails part way leaves any earlier checkpoint at ``path`` whole.
+    """
     entries = list(model.store.entries())
     meta = {
         "format_version": CHECKPOINT_VERSION,
@@ -269,7 +207,17 @@ def save_checkpoint(model: Model, path, extras: Optional[dict] = None) -> None:
     for i, bn in enumerate(model.batch_norms()):
         arrays[f"bn_{i}_mean"] = bn.running_mean
         arrays[f"bn_{i}_var"] = bn.running_var
-    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        # through an open file, np.savez writes to exactly this name
+        with open(tmp, "wb") as f:
+            np.savez(f, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                     **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):

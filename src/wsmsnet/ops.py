@@ -6,7 +6,7 @@ Convolution is cross-correlation (no kernel flip) over NCHW tensors.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -86,8 +86,7 @@ def _from_columns(dcols: np.ndarray, dx: np.ndarray, kh: int, kw: int, stride: i
             dx[:, :, rows, cols] += d6[:, :, i, j, orows, ocols]
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlate NCHW input with an (out, in, kh, kw) weight.
 
     The input is lowered to im2col columns one block of examples at a time
@@ -108,8 +107,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     cout, cin_w, kh, kw = weight.shape
     if cin != cin_w:
         raise ValueError(f"conv2d: input has {cin} channels but weight expects {cin_w}")
-    if bias is not None and bias.shape != (cout,):
-        raise ValueError(f"conv2d: bias shape {bias.shape} does not match {cout} output channels")
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
     if oh < 1 or ow < 1:
@@ -123,13 +120,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     out_data = np.empty((n, cout, p), dtype=np.result_type(w2, dtype))
     for s, cb in _lowered(x.data, block, kh, kw, stride, padding, oh, ow):
         np.matmul(w2, cb, out=out_data[s:s + block])
-    if bias is not None:
-        out_data += bias.data[:, None]
     out = _wrap(out_data.reshape(n, cout, oh, ow))
-    if recording(x, weight, bias):
+    if recording(x, weight):
         def bwd(g):
             g2 = g.reshape(n, cout, p)
-            db = g.sum(axis=(0, 2, 3)) if bias is not None else None
             # Per-example weight gradients are added in batch order onto
             # zeros, which is how .sum(axis=0) reduces a stacked product.
             dw = np.zeros((cout, k), dtype=np.result_type(g2, dtype))
@@ -148,8 +142,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                     continue
                 np.matmul(w2.T, gb, out=dcols[:m])
                 _from_columns(dcols[:m], dx[s:s + m], kh, kw, stride, padding, oh, ow)
-            return dx, dw.reshape(weight.shape), db
-        push((x, weight, bias), out, bwd)
+            return dx, dw.reshape(weight.shape)
+        push((x, weight), out, bwd)
     return out
 
 
@@ -292,7 +286,7 @@ def pad_channels(x: Tensor, channels: int) -> Tensor:
     return out
 
 
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map of (N, D) input with (K, D) weight and (K,) bias."""
     if x.ndim != 2 or weight.ndim != 2:
         raise ValueError(f"linear: expected 2-d input and weight, got {x.shape} and {weight.shape}")
@@ -300,17 +294,16 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     k, dw = weight.shape
     if d != dw:
         raise ValueError(f"linear: input feature size {d} != weight feature size {dw}")
-    if bias is not None and bias.shape != (k,):
+    if bias.shape != (k,):
         raise ValueError(f"linear: bias shape {bias.shape} does not match {k} outputs")
     out_data = x.data @ weight.data.T
-    if bias is not None:
-        out_data += bias.data
+    out_data += bias.data
     out = _wrap(out_data)
     if recording(x, weight, bias):
         def bwd(g):
             dx = g @ weight.data
             dw_ = g.T @ x.data
-            db = g.sum(axis=0) if bias is not None else None
+            db = g.sum(axis=0)
             return dx, dw_, db
         push((x, weight, bias), out, bwd)
     return out

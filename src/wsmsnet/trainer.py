@@ -70,6 +70,8 @@ class TrainConfig:
             raise ValueError("lr_schedule must start at epoch 1")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @staticmethod
     def from_dict(cfg: dict) -> "TrainConfig":

@@ -32,5 +32,20 @@ def small_synth():
     return train_n, seen_n, held_n
 
 
+def _layer_at(units, path):
+    """The layer a list of (Unit, layers) pairs runs at site ``path``."""
+    for unit, layers in units:
+        for site, layer in zip(unit.sites, layers):
+            if site.path == path:
+                return layer
+    raise KeyError(path)
+
+
+@pytest.fixture(scope="session")
+def layer_at():
+    """``layer_at(stage.units, path)`` finds a layer by its site path."""
+    return _layer_at
+
+
 def rng_for(name: str, seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(abs(hash((name, seed))) % (2 ** 32))

@@ -200,11 +200,11 @@ class TestSharingGuarantees:
                 checked += 1
             assert checked >= 4
 
-    def test_batch_norm_stays_private_to_its_stage(self, tiny_wsms_spec):
+    def test_batch_norm_stays_private_to_its_stage(self, tiny_wsms_spec, layer_at):
         model = build_model(tiny_wsms_spec, seed=0)
         x = Tensor(np.random.default_rng(6).standard_normal((2, 3, 32, 32)))
         before = [f.data.copy() for f in model.stage_features(x)]
-        gamma = model.store.tensor(model.stages[1].stem_bn.gamma_id)
+        gamma = model.store.tensor(layer_at(model.stages[1].units, "stage2.stem.bn").gamma_id)
         gamma.data[:] = 2.0
         after = [f.data for f in model.stage_features(x)]
         np.testing.assert_array_equal(before[0], after[0])

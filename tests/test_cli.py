@@ -135,6 +135,10 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "FAIL" in out and "linear" in out
 
+    def test_unknown_case_exits_2(self, capsys):
+        assert main(["gradcheck", "--corrupt", "nope"]) == 2
+        assert "unknown gradcheck case 'nope'" in capsys.readouterr().err
+
 
 class TestSynthDataCommand:
     def test_writes_splits_and_manifest(self, tmp_path, capsys):
@@ -145,6 +149,10 @@ class TestSynthDataCommand:
         assert manifest["splits"]["train"]["examples"] == 20
         for info in manifest["splits"].values():
             assert (out_dir / info["file"]).exists()
+
+    def test_bad_value_exits_2(self, tmp_path, capsys):
+        assert main(["synth-data", "--out", str(tmp_path / "bench"), "--noise", "-1"]) == 2
+        assert "noise must be >= 0" in capsys.readouterr().err
 
 
 class TestTrainEvalPipeline:
@@ -201,6 +209,23 @@ class TestTrainEvalPipeline:
         assert main(["train", config, "--out", str(run_dir)]) == 3
         assert "error:" in capsys.readouterr().err
         assert not (run_dir / "run.lock").exists()
+
+    @pytest.mark.parametrize("data,flags,bad", [
+        ({"noise": -1.0}, [], "noise must be >= 0"),
+        ({"train_scales": [0.6]}, [], "train_scales must be like (0.6, 1.0), got (0.6,)"),
+        ({"class_count": "5"}, [], "class_count must be like 5, got '5'"),
+        ({"colour": True}, [], "unexpected keyword argument 'colour'"),
+        ({}, ["--epochs", "-1"], "epochs must be >= 0"),
+        ({}, ["--seed", "-3"], "seed must be >= 0"),
+    ], ids=["negative-noise", "one-scale", "string-class_count", "unknown-key",
+            "negative-epochs", "negative-seed"])
+    def test_bad_data_or_override_exits_2(self, tmp_path, capsys, data, flags, bad):
+        body = json.loads(Path(tiny_synth_config(tmp_path, epochs=0)).read_text())
+        body["data"].update(data)
+        path = write_config(tmp_path, body, "bad.json")
+        assert main(["train", path, "--out", str(tmp_path / "run"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and bad in err
 
     def test_bad_train_key_exits_2(self, tmp_path, capsys):
         body = json.loads(Path(tiny_synth_config(tmp_path)).read_text())

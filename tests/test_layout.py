@@ -18,9 +18,10 @@ import pytest
 from wsmsnet import layers
 from wsmsnet.autodiff import Tensor
 from wsmsnet.cost import cost_report
-from wsmsnet.model import build_model
+from wsmsnet.model import build_model, image_pyramid, run_unit
 from wsmsnet.specs import (INTEGRATIONS, SHARINGS, WsmsSpec, build_conv_backbone,
-                           build_densenet, build_resnet, model_from_config)
+                           build_densenet, build_resnet, integration_unit, model_from_config,
+                           stage_units)
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 INPUT = 8  # three stages leave stage 3 a 2x2 input that still pools once
@@ -89,6 +90,38 @@ class TestRuntimeMatchesCostRows:
         assert [bn.name for bn in model.batch_norms()] == \
             [r.path for r in report.rows if r.kind == "bn"]
         assert model.param_count() == report.total_params
+
+
+class TestRuntimeRunsTheSpecWalk:
+    @pytest.mark.parametrize("spec", list(GRID.values()), ids=list(GRID))
+    def test_stage_units_are_the_walk(self, spec):
+        model = build_model(spec, seed=0)
+        for s, stage in enumerate(model.stages, start=1):
+            assert [unit for unit, _ in stage.units] == list(stage_units(spec, s))
+        head = integration_unit(spec)
+        assert (None if model.integration is None else model.integration[0]) == head
+        pairs = [pair for stage in model.stages for pair in stage.units]
+        pairs += [model.integration] if head is not None else []
+        for unit, unit_layers in pairs:
+            assert [layer.name for layer in unit_layers] == [site.path for site in unit.sites]
+
+    @pytest.mark.parametrize("family", sorted(TINY_BACKBONES))
+    def test_truncated_pathways_align_bitwise(self, family):
+        # stage 1 cut after pathway s's last block, then pathway s's own tail
+        # if it has one, reproduces pathway s bit for bit: same conv objects,
+        # same-init batch norm. At s=1 the cut keeps every block, so only
+        # skipping the tail keeps it from running twice.
+        backbone = TINY_BACKBONES[family]
+        k = len(backbone.blocks)
+        model = build_model(WsmsSpec(backbone, k, "conv1x1", 5), seed=0)
+        x = Tensor(np.random.default_rng(8).standard_normal((2, 3, INPUT, INPUT)))
+        for s, level in enumerate(image_pyramid(x, k), start=1):
+            pathway = model.stages[s - 1]
+            truncated = model.stages[0](level, False, upto_block=k - s + 1)
+            last, last_layers = pathway.units[-1]
+            if last.kind == "tail":
+                truncated = run_unit(last, last_layers, truncated, False)
+            assert truncated.data.tobytes() == pathway(level, False).data.tobytes()
 
 
 class TestCheckpointLayout:

@@ -8,6 +8,7 @@ import pytest
 from wsmsnet import model, ops
 from wsmsnet.autodiff import Tape, Tensor, using_precision
 from wsmsnet.layers import BatchNorm, Conv2dLayer, ParamStore
+from wsmsnet.specs import BnSite, ConvSite, Unit
 
 
 def tracked(arr) -> Tensor:
@@ -139,12 +140,13 @@ class TestTapeLiveness:
         store, rng = ParamStore(), np.random.default_rng(0)
         conv1, conv2 = (Conv2dLayer(store, f"conv{i}", 4, 4, 3, 1, 1, rng) for i in (1, 2))
         bn1, bn2 = (BatchNorm(store, f"bn{i}", 4) for i in (1, 2))
-        unit = model.ResidualUnit(
-            self.spied("conv", conv1, live), self.spied("bn", bn1, live),
-            self.spied("conv", conv2, live), self.spied("bn", bn2, live), 4, 4, 1)
+        unit = Unit("residual", 1, (ConvSite("conv1", 4, 4), BnSite("bn1", 4),
+                                    ConvSite("conv2", 4, 4), BnSite("bn2", 4)))
+        spied = [self.spied("conv", conv1, live), self.spied("bn", bn1, live),
+                 self.spied("conv", conv2, live), self.spied("bn", bn2, live)]
         x = tracked(rng.standard_normal((2, 4, 6, 6)))
         with Tape() as tape:
-            y = unit(x, training=True)
+            y = model.run_unit(unit, spied, x, training=True)
             loss = ops.sum_all(y)
         alive = {kind: [ref() is not None for ref in refs] for kind, refs in live.items()}
         # batch norm outputs are read by no backward (the ReLU after the first
@@ -209,13 +211,6 @@ class TestConv2d:
                              [3 + 4 + 6 + 7, 4 + 5 + 7 + 8]], dtype=np.float32)
         np.testing.assert_array_equal(y.data[0, 0], expected)
 
-    def test_bias_adds_per_output_channel(self):
-        x = Tensor(np.zeros((1, 1, 2, 2)))
-        w = Tensor(np.zeros((2, 1, 1, 1)))
-        y = ops.conv2d(x, w, Tensor(np.array([3.0, -1.0])))
-        assert set(y.data[0, 0].flat) == {3.0}
-        assert set(y.data[0, 1].flat) == {-1.0}
-
     def test_stride_and_padding_shapes(self):
         x = Tensor(np.zeros((1, 4, 32, 32)))
         w = Tensor(np.zeros((8, 4, 3, 3)))
@@ -229,9 +224,9 @@ class TestConv2d:
             ops.conv2d(x, w)
 
 
-def reference_conv2d(x, w, b, stride, padding, g=None):
+def reference_conv2d(x, w, stride, padding, g=None):
     """Whole-batch im2col lowering, as conv2d computed it before it worked
-    block by block. Returns the output, or (out, dx, dw, db) for gradient g."""
+    block by block. Returns the output, or (out, dx, dw) for gradient g."""
     n, c, h, wd = x.shape
     cout, _, kh, kw = w.shape
     oh = (h + 2 * padding - kh) // stride + 1
@@ -243,15 +238,11 @@ def reference_conv2d(x, w, b, stride, padding, g=None):
             cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
     cols = cols.reshape(n, c * kh * kw, oh * ow)
     w2 = w.reshape(cout, c * kh * kw)
-    out = np.matmul(w2, cols)
-    if b is not None:
-        out += b[:, None]
-    out = out.reshape(n, cout, oh, ow)
+    out = np.matmul(w2, cols).reshape(n, cout, oh, ow)
     if g is None:
         return out
     g2 = g.reshape(n, cout, oh * ow)
     dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-    db = g.sum(axis=(0, 2, 3)) if b is not None else None
     d6 = np.matmul(w2.T, g2).reshape(n, c, kh, kw, oh, ow)
     dxp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=d6.dtype)
     for i in range(kh):
@@ -259,17 +250,14 @@ def reference_conv2d(x, w, b, stride, padding, g=None):
             dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += d6[:, :, i, j]
     if padding:
         dxp = np.ascontiguousarray(dxp[:, :, padding:padding + h, padding:padding + wd])
-    return out, dxp, dw, db
+    return out, dxp, dw
 
 
 def exact(*arrays, requires_grad=False):
-    """Tensors keeping each array's own dtype; None stays None."""
-    tensors = []
-    for arr in arrays:
-        t = None if arr is None else Tensor(arr, dtype=arr.dtype)
-        if t is not None:
-            t.requires_grad = requires_grad
-        tensors.append(t)
+    """Tensors keeping each array's own dtype."""
+    tensors = [Tensor(arr, dtype=arr.dtype) for arr in arrays]
+    for t in tensors:
+        t.requires_grad = requires_grad
     return tensors
 
 
@@ -282,40 +270,36 @@ class TestConv2dBlocking:
     """Block-by-block lowering must reproduce whole-batch lowering bit for bit."""
 
     @staticmethod
-    def check(monkeypatch, rng, shape, cout, kernel, stride, padding, with_bias, dtype):
+    def check(monkeypatch, rng, shape, cout, kernel, stride, padding, dtype):
         """Untaped and taped output and taped gradients, for every block size."""
         n, cin = shape[:2]
         # zero entries of both signs exercise the sign of zero sums
         x = (rng.standard_normal(shape) * (rng.random(shape) > 0.2)).astype(dtype)
         w = rng.standard_normal((cout, cin, kernel, kernel)).astype(dtype)
-        b = rng.standard_normal(cout).astype(dtype) if with_bias else None
-        expected = reference_conv2d(x, w, b, stride, padding)
+        expected = reference_conv2d(x, w, stride, padding)
         g = (rng.standard_normal(expected.shape) * (rng.random(expected.shape) > 0.3)).astype(dtype)
-        expected_grads = reference_conv2d(x, w, b, stride, padding, g)
+        expected_grads = reference_conv2d(x, w, stride, padding, g)
         example_bytes = cin * kernel * kernel * expected.shape[2] * expected.shape[3] * x.itemsize
         # 1 example per block, 2 per block with a ragged last block, the whole batch
         for budget in (1, example_bytes, 2 * example_bytes, ops.COLUMN_BLOCK_BYTES):
             monkeypatch.setattr(ops, "COLUMN_BLOCK_BYTES", budget)
-            assert_same_bits(ops.conv2d(*exact(x, w, b), stride=stride, padding=padding).data,
+            assert_same_bits(ops.conv2d(*exact(x, w), stride=stride, padding=padding).data,
                              expected)
             with Tape() as tape:
-                y = ops.conv2d(*exact(x, w, b, requires_grad=True), stride=stride,
+                y = ops.conv2d(*exact(x, w, requires_grad=True), stride=stride,
                                padding=padding)
             assert_same_bits(y.data, expected)
             grads = tape.nodes[-1].fn(g)
             tape.release()
+            assert len(grads) == 2
             for actual, wanted in zip(grads, expected_grads[1:]):
-                if wanted is None:
-                    assert actual is None
-                else:
-                    assert_same_bits(actual, wanted)
+                assert_same_bits(actual, wanted)
 
-    @pytest.mark.parametrize("kernel,stride,padding,with_bias,dtype", list(itertools.product(
-        (1, 3), (1, 2), (0, 1), (False, True), (np.float32, np.float64))))
-    def test_matches_whole_batch_lowering(self, monkeypatch, kernel, stride, padding,
-                                          with_bias, dtype):
+    @pytest.mark.parametrize("kernel,stride,padding,dtype", list(itertools.product(
+        (1, 3), (1, 2), (0, 1), (np.float32, np.float64))))
+    def test_matches_whole_batch_lowering(self, monkeypatch, kernel, stride, padding, dtype):
         rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
-        self.check(monkeypatch, rng, (5, 3, 7, 7), 4, kernel, stride, padding, with_bias, dtype)
+        self.check(monkeypatch, rng, (5, 3, 7, 7), 4, kernel, stride, padding, dtype)
 
     @pytest.mark.parametrize("kernel,height,width,dtype", list(itertools.product(
         (1, 2, 3), (7, 8), (6, 9), (np.float32, np.float64))))
@@ -324,7 +308,7 @@ class TestConv2dBlocking:
         # stride 2 over a padded input: taps are clipped to the image at the
         # start and, depending on kernel and extent, at the end of each axis
         rng = np.random.default_rng(kernel * 100 + height * 10 + width)
-        self.check(monkeypatch, rng, (5, 3, height, width), 4, kernel, 2, 1, True, dtype)
+        self.check(monkeypatch, rng, (5, 3, height, width), 4, kernel, 2, 1, dtype)
 
     def test_untaped_conv_holds_no_whole_batch_columns(self):
         rng = np.random.default_rng(0)
@@ -363,21 +347,19 @@ class TestConv2dBlocking:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3, 2, 6, 6)).astype(np.float32)
         w = tracked(rng.standard_normal((4, 2, 3, 3)))
-        b = tracked(rng.standard_normal(4))
         g = rng.standard_normal((3, 4, 6, 6)).astype(np.float32)
 
         def node_grads(x_tensor):
             with Tape() as tape:
-                ops.conv2d(x_tensor, w, b, padding=1)
+                ops.conv2d(x_tensor, w, padding=1)
             grads = tape.nodes[-1].fn(g)
             tape.release()
             return grads
 
-        dx, dw, db = node_grads(Tensor(x))
+        dx, dw = node_grads(Tensor(x))
         assert dx is None
-        _, dw_tracked, db_tracked = node_grads(tracked(x))
+        _, dw_tracked = node_grads(tracked(x))
         assert_same_bits(dw, dw_tracked)
-        assert_same_bits(db, db_tracked)
 
 
 class TestPooling:

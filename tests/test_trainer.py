@@ -141,10 +141,10 @@ class TestTrainLoop:
             finals.append(self.snapshot(model))
         assert any(a.tobytes() != b.tobytes() for a, b in zip(*finals))
 
-    def test_non_finite_loss_raises_divergence(self, tiny_wsms_spec, small_synth):
+    def test_non_finite_loss_raises_divergence(self, tiny_wsms_spec, small_synth, layer_at):
         train_ds, _, _ = small_synth
         model = build_model(tiny_wsms_spec, seed=0)
-        weight = model.store.tensor(model.stages[0].stem_conv.weight_id)
+        weight = model.store.tensor(layer_at(model.stages[0].units, "stem").weight_id)
         weight.data[:] = np.nan
         with pytest.raises(DivergenceError) as info:
             train(model, train_ds, self.config(), eval_ds=None)
@@ -177,6 +177,11 @@ class TestTrainLoop:
         assert err == pytest.approx(best_err)
 
 
+class FailsToWrite:
+    def __reduce__(self):
+        raise OSError("disk full")
+
+
 class TestCheckpointPersistence:
     def test_round_trip_preserves_all_state(self, tiny_wsms_spec, small_synth,
                                             tmp_path):
@@ -197,6 +202,22 @@ class TestCheckpointPersistence:
             assert bn_a.running_var.tobytes() == bn_b.running_var.tobytes()
         x = Tensor(seen.images[:8])
         assert model.forward(x).data.tobytes() == loaded.forward(x).data.tobytes()
+
+    def test_failed_save_leaves_earlier_checkpoint_whole(self, tiny_wsms_spec, tmp_path):
+        model = build_model(tiny_wsms_spec, seed=0)
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        saved = path.read_bytes()
+        # the last buffer fails as it is written, after earlier arrays are
+        # already in the archive
+        model.batch_norms()[-1].running_var = np.array([FailsToWrite()], dtype=object)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(model, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
+        assert path.read_bytes() == saved
+        loaded, _ = load_checkpoint(path)
+        assert [e.name for e in loaded.store.entries()] == \
+            [e.name for e in model.store.entries()]
 
     def test_loading_rejects_other_formats(self, tmp_path):
         np.savez(tmp_path / "bad.npz",

@@ -56,62 +56,74 @@ class TestPathwayMerge:
         manual = model.fc(ops.reshape(pooled, pooled.shape[:2]))
         np.testing.assert_array_equal(model.forward(x).data, manual.data)
 
-    def test_integration_conv_reshapes_merged_width(self, tiny_wsms_spec):
+    def test_integration_conv_reshapes_merged_width(self, tiny_wsms_spec, layer_at):
         model = build_model(tiny_wsms_spec, seed=0)
         logits = model.forward(batch((2, 3, 32, 32)))
         assert logits.shape == (2, 5)
-        assert model.integration_conv.in_channels == 24
-        assert model.integration_conv.out_channels == 16
+        integration_conv = layer_at([model.integration], "integration.conv")
+        assert integration_conv.in_channels == 24
+        assert integration_conv.out_channels == 16
 
     def test_stage_gains_isolate_pathways(self, tiny_backbone):
         spec = WsmsSpec(tiny_backbone, stages=2, integration="none")
         model = build_model(spec, seed=5)
         x = batch((2, 3, 32, 32), seed=4)
+        feats = model.stage_features(x)
+
+        def forward(stage_gains):
+            scaled = [ops.scale(f, g) for f, g in zip(feats, stage_gains)]
+            pooled = ops.global_avg_pool(model.integrate(ops.concat_channels(scaled)))
+            return model.fc(ops.reshape(pooled, pooled.shape[:2])).data
+
         full = model.forward(x).data
-        only1 = model.forward(x, stage_gains=[1.0, 0.0]).data
-        only2 = model.forward(x, stage_gains=[0.0, 1.0]).data
+        only1 = forward([1.0, 0.0])
+        only2 = forward([0.0, 1.0])
         # the classifier is affine, so pathway logits recombine up to the bias
-        bias = model.forward(x, stage_gains=[0.0, 0.0]).data
+        bias = forward([0.0, 0.0])
         np.testing.assert_allclose(only1 + only2 - bias, full, rtol=1e-4)
 
 
 class TestWeightSharing:
-    def test_stages_reference_identical_conv_objects(self, tiny_wsms_spec):
+    def test_stages_reference_identical_conv_objects(self, tiny_wsms_spec, layer_at):
         model = build_model(tiny_wsms_spec, seed=0)
         s1, s2 = model.stages
-        assert s1.stem_conv is s2.stem_conv
-        assert s1.blocks[0][0].conv1 is s2.blocks[0][0].conv1
-        assert s1.blocks[0][0].conv2 is s2.blocks[0][0].conv2
+        assert layer_at(s1.units, "stem") is layer_at(s2.units, "stem")
+        assert (layer_at(s1.units, "block1.unit0.conv1")
+                is layer_at(s2.units, "block1.unit0.conv1"))
+        assert (layer_at(s1.units, "block1.unit0.conv2")
+                is layer_at(s2.units, "block1.unit0.conv2"))
 
-    def test_batch_norms_are_private_per_stage(self, tiny_wsms_spec):
+    def test_batch_norms_are_private_per_stage(self, tiny_wsms_spec, layer_at):
         model = build_model(tiny_wsms_spec, seed=0)
         s1, s2 = model.stages
-        assert s1.stem_bn is not s2.stem_bn
-        assert s1.blocks[0][0].bn1 is not s2.blocks[0][0].bn1
+        assert layer_at(s1.units, "stage1.stem.bn") is not layer_at(s2.units, "stage2.stem.bn")
+        assert (layer_at(s1.units, "stage1.block1.unit0.bn1")
+                is not layer_at(s2.units, "stage2.block1.unit0.bn1"))
         names = [e.name for e in model.store.entries()]
         assert "stage1.stem.bn.gamma" in names and "stage2.stem.bn.gamma" in names
 
-    def test_running_buffers_diverge_across_stages(self, tiny_wsms_spec):
+    def test_running_buffers_diverge_across_stages(self, tiny_wsms_spec, layer_at):
         model = build_model(tiny_wsms_spec, seed=0)
         model.forward(batch((8, 3, 32, 32), seed=9), training=True)
         s1, s2 = model.stages
-        assert not np.array_equal(s1.stem_bn.running_mean, s2.stem_bn.running_mean)
+        assert not np.array_equal(layer_at(s1.units, "stage1.stem.bn").running_mean,
+                                  layer_at(s2.units, "stage2.stem.bn").running_mean)
 
-    def test_private_bn_perturbation_stays_in_its_stage(self, tiny_wsms_spec):
+    def test_private_bn_perturbation_stays_in_its_stage(self, tiny_wsms_spec, layer_at):
         model = build_model(tiny_wsms_spec, seed=0)
         x = batch((2, 3, 32, 32), seed=6)
         before = [f.data.copy() for f in model.stage_features(x)]
-        gamma = model.store.tensor(model.stages[1].stem_bn.gamma_id)
+        gamma = model.store.tensor(layer_at(model.stages[1].units, "stage2.stem.bn").gamma_id)
         gamma.data[:] = 2.0
         after = [f.data for f in model.stage_features(x)]
         np.testing.assert_array_equal(before[0], after[0])
         assert not np.array_equal(before[1], after[1])
 
-    def test_shared_weight_perturbation_moves_every_stage(self, tiny_wsms_spec):
+    def test_shared_weight_perturbation_moves_every_stage(self, tiny_wsms_spec, layer_at):
         model = build_model(tiny_wsms_spec, seed=0)
         x = batch((2, 3, 32, 32), seed=7)
         before = [f.data.copy() for f in model.stage_features(x)]
-        weight = model.store.tensor(model.stages[0].stem_conv.weight_id)
+        weight = model.store.tensor(layer_at(model.stages[0].units, "stem").weight_id)
         weight.data += 0.05
         after = [f.data for f in model.stage_features(x)]
         assert not np.array_equal(before[0], after[0])
