@@ -103,15 +103,25 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _resolve_datasets(cfg: dict, data_arg, seed_override=None):
-    """Returns (train_ds, eval_ds, data_manifest) from a config data section."""
+def _data_section(cfg: dict) -> dict:
+    """A copy of the config's data section, which must be an object."""
+    from .specs import ConfigError
+
+    section = cfg.get("data", {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config data section must be an object, "
+                          f"got {type(section).__name__}")
+    return dict(section)
+
+
+def _resolve_datasets(section: dict, data_arg, seed_override=None):
+    """Returns (train_ds, eval_ds, data_manifest) from a checked data section."""
     from .data import (SynthScaleConfig, load_cifar, normalize_per_channel,
                        synth_scale_dataset)
     from .specs import ConfigError
     import dataclasses
     import hashlib
 
-    section = dict(cfg.get("data", {}))
     kind = section.pop("kind", None)
     if kind == "synth":
         split = section.pop("eval_split", "held")
@@ -176,6 +186,7 @@ def cmd_train(args) -> int:
         tcfg = TrainConfig.from_dict({**cfg.get("train", {}), **overrides})
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{args.config}: bad train settings: {err}") from err
+    data_section = _data_section(cfg)
 
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -189,7 +200,7 @@ def cmd_train(args) -> int:
     os.close(fd)
     try:
         train_ds, eval_ds, mean, std, data_manifest = _resolve_datasets(
-            cfg, args.data, seed_override=args.seed)
+            data_section, args.data, seed_override=args.seed)
         model = build_model(spec, seed=tcfg.seed)
         manifest = {
             "artifact_version": __version__,
@@ -227,7 +238,7 @@ def cmd_eval(args) -> int:
 
     model, _extras = load_checkpoint(args.checkpoint)
     cfg = _load_config(args.config)
-    train_ds, eval_ds, mean, std, _manifest = _resolve_datasets(cfg, args.data)
+    train_ds, eval_ds, mean, std, _manifest = _resolve_datasets(_data_section(cfg), args.data)
     del train_ds, mean, std
     error, rows = evaluate(model, eval_ds)
     print(f"error={error:.2f}% over {len(rows)} examples")

@@ -3,16 +3,18 @@
 A backbone is a stem convolution followed by pooling-delimited convolution
 blocks; downsampling always happens at the entry of a block, so truncating
 the trailing blocks of any stage leaves every pathway at the same spatial
-extent. These specs are plain data. :func:`stage_units` is the one walk over
-them: the runtime builder instantiates the layer sites it yields and the
-static cost model counts them, so a runtime layer's name is its cost row's
-path.
+extent. A backbone spec holds exactly its family's config settings
+(:class:`ResNet`, :class:`DenseNet`, :class:`ConvNet`), field for field in
+config key order. :func:`stage_units` is the one place a family's layout is
+spelled out, and the one walk over a spec: the runtime builder instantiates
+the layer sites it yields and the static cost model counts them, so a runtime
+layer's name is its cost row's path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple, Union
+from dataclasses import asdict, dataclass
+from typing import ClassVar, Iterator, Optional, Tuple, Union
 
 INTEGRATIONS = ("none", "conv1x1", "conv3x3")
 SHARINGS = ("shared", "unshared")
@@ -23,95 +25,110 @@ class ConfigError(ValueError):
     """Raised for malformed model or run configuration."""
 
 
-@dataclass(frozen=True)
-class StemConv:
-    """3x3 stride-1 pad-1 convolution lifting the input to the working width."""
-    in_channels: int
-    out_channels: int
-    batch_norm: bool  # stem BN+ReLU for resnet/conv families; dense layers normalize first
+def _check_sizes(class_count: int, stem: int, widths) -> None:
+    if class_count < 2:
+        raise ConfigError(f"class_count must be >= 2, got {class_count}")
+    if stem < 1:
+        raise ConfigError(f"stem width must be >= 1, got {stem}")
+    for b, width in enumerate(widths, start=1):
+        if width < 1:
+            raise ConfigError(f"block {b} width must be >= 1, got {width}")
 
 
 @dataclass(frozen=True)
-class ResidualCompartment:
-    """Chain of two-conv residual units at one width.
-
-    ``downsample == 2`` puts a stride-2 first unit with a parameter-free
-    subsample-and-zero-pad shortcut; later units are identity residual.
-    """
-    in_channels: int
-    out_channels: int
-    units: int
-    downsample: int
-
-
-@dataclass(frozen=True)
-class DenseBlock:
-    """Densely connected block: ``layers`` iterations of BN-ReLU-conv3x3(growth).
-
-    ``lead_transition`` puts a transition (a channel-preserving 1x1 conv + BN
-    + ReLU, then 2x2 average pooling) before the layers. Every dense block but
-    the first has one; it is what delimits the block for stage truncation.
-    """
-    in_channels: int
-    growth: int
-    layers: int
-    lead_transition: bool = False
-
-    @property
-    def out_channels(self) -> int:
-        return self.in_channels + self.growth * self.layers
-
-    @property
-    def downsample(self) -> int:
-        return 2 if self.lead_transition else 1
-
-
-@dataclass(frozen=True)
-class ConvBlock:
-    """Plain chain of conv3x3-BN-ReLU units, optionally entered through a 2x2 avg pool."""
-    in_channels: int
-    out_channels: int
-    convs: int
-    lead_pool: bool = False
-
-    @property
-    def downsample(self) -> int:
-        return 2 if self.lead_pool else 1
-
-
-Block = Union[ResidualCompartment, DenseBlock, ConvBlock]
-
-
-@dataclass(frozen=True)
-class BackboneSpec:
-    family: str
-    stem: StemConv
-    blocks: Tuple[Block, ...]
+class ResNet:
+    """Residual backbone: a stem conv to ``channels[0]``, then one compartment
+    of ``n`` two-conv residual units per width. Every compartment after the
+    first enters through a stride-2 unit whose parameter-free shortcut
+    subsamples and zero-pads, so the widths may only grow. Depth with three
+    widths is 6n+2."""
+    family: ClassVar[str] = "resnet"
+    n: int
+    channels: Tuple[int, ...]
     class_count: int
-    stage_tail: str = "none"  # "bn-relu" gives each truncated pathway a final BN+ReLU
 
     def validate(self) -> None:
-        if self.family not in FAMILIES:
-            raise ConfigError(f"unknown backbone family {self.family!r}")
-        if not self.blocks:
-            raise ConfigError("backbone needs at least one convolution block")
-        if self.class_count < 2:
-            raise ConfigError(f"class_count must be >= 2, got {self.class_count}")
-        if self.stage_tail not in ("none", "bn-relu"):
-            raise ConfigError(f"unknown stage_tail {self.stage_tail!r}")
-        if self.blocks[0].downsample != 1:
-            raise ConfigError("the first convolution block must not downsample")
-        prev = self.stem.out_channels
-        if prev < 1:
-            raise ConfigError(f"stem width must be >= 1, got {prev}")
-        for i, block in enumerate(self.blocks, start=1):
-            if block.in_channels != prev:
-                raise ConfigError(
-                    f"block {i} expects {block.in_channels} input channels, "
-                    f"previous width is {prev}")
-            prev = block.out_channels
-            if prev < 1:
-                raise ConfigError(f"block {i} width must be >= 1, got {prev}")
+        if self.n < 1:
+            raise ConfigError(f"resnet units per compartment must be >= 1, got {self.n}")
+        if not self.channels:
+            raise ConfigError("resnet needs at least one compartment width")
+        _check_sizes(self.class_count, self.channels[0], self.channels)
+        for b, (prev, width) in enumerate(zip(self.channels, self.channels[1:]), start=2):
+            if width < prev:
+                raise ConfigError(f"block {b} width {width} is below the previous {prev}; "
+                                  f"the zero-padding shortcut can only widen")
+
+
+@dataclass(frozen=True)
+class DenseNet:
+    """Densely connected backbone without compression: a stem conv, then
+    ``blocks`` blocks of ``layers_per_block`` BN-ReLU-conv3x3(growth) layers.
+    Every block after the first enters through a channel-preserving
+    transition (1x1 conv + BN + ReLU, then 2x2 average pooling), and each
+    pathway ends in BN+ReLU."""
+    family: ClassVar[str] = "densenet"
+    growth: int
+    layers_per_block: int
+    blocks: int
+    stem_channels: int
+    class_count: int
+
+    def validate(self) -> None:
+        if self.growth < 1:
+            raise ConfigError(f"densenet growth must be >= 1, got {self.growth}")
+        if self.layers_per_block < 1:
+            raise ConfigError(f"densenet layers_per_block must be >= 1, "
+                              f"got {self.layers_per_block}")
+        if self.blocks < 1:
+            raise ConfigError(f"densenet needs at least one block, got {self.blocks}")
+        _check_sizes(self.class_count, self.stem_channels, ())
+
+
+@dataclass(frozen=True)
+class ConvNet:
+    """Plain backbone: a stem conv, then per block ``convs_per_block[i]``
+    conv3x3-BN-ReLU units at width ``block_widths[i]``. Every block after the
+    first enters through 2x2 average pooling; a block of zero convs is only
+    that pooling and keeps the previous width."""
+    family: ClassVar[str] = "conv"
+    stem_channels: int
+    block_widths: Tuple[int, ...]
+    convs_per_block: Tuple[int, ...]
+    class_count: int
+
+    def validate(self) -> None:
+        if not self.block_widths:
+            raise ConfigError("conv config needs a non-empty 'block_widths' list")
+        if len(self.convs_per_block) != len(self.block_widths):
+            raise ConfigError("convs_per_block must match block_widths in length")
+        prev = self.stem_channels
+        for b, (width, convs) in enumerate(zip(self.block_widths, self.convs_per_block), 1):
+            if convs < 0:
+                raise ConfigError(f"block {b} conv count must be >= 0, got {convs}")
+            if convs == 0 and width != prev:
+                raise ConfigError(f"block {b} has no convs and cannot change width "
+                                  f"{prev} -> {width}")
+            prev = width
+        _check_sizes(self.class_count, self.stem_channels, self.block_widths)
+
+
+BackboneSpec = Union[ResNet, DenseNet, ConvNet]
+
+
+def block_count(backbone: BackboneSpec) -> int:
+    """k, the number of pooling-delimited blocks after the stem."""
+    if isinstance(backbone, DenseNet):
+        return backbone.blocks
+    return len(backbone.channels if isinstance(backbone, ResNet) else backbone.block_widths)
+
+
+def block_width(backbone: BackboneSpec, b: int) -> int:
+    """Output width of block ``b`` (1-based); block 0 is the stem."""
+    if isinstance(backbone, DenseNet):
+        return backbone.stem_channels + backbone.growth * backbone.layers_per_block * b
+    if isinstance(backbone, ResNet):
+        return backbone.channels[max(b - 1, 0)]
+    return backbone.block_widths[b - 1] if b else backbone.stem_channels
 
 
 @dataclass(frozen=True)
@@ -131,7 +148,7 @@ class WsmsSpec:
 
     def validate(self) -> None:
         self.backbone.validate()
-        k = len(self.backbone.blocks)
+        k = block_count(self.backbone)
         if self.stages < 1:
             raise ConfigError(f"stages must be >= 1, got {self.stages}")
         if self.stages > k:
@@ -153,9 +170,8 @@ class WsmsSpec:
 
 @dataclass(frozen=True)
 class StagePlan:
-    """Derived per-stage layout: scale factors, kept blocks, output widths."""
+    """Derived per-stage layout: scale factors and output widths."""
     scale_divisors: Tuple[int, ...]   # input downscale per stage: 1, 2, 4, ...
-    block_counts: Tuple[int, ...]     # blocks kept per stage: k, k-1, ...
     stage_channels: Tuple[int, ...]   # feature channels per stage output
     concat_channels: int
     head_channels: int                # width entering global pooling + classifier
@@ -163,15 +179,12 @@ class StagePlan:
 
 def stage_plan(spec: WsmsSpec) -> StagePlan:
     spec.validate()
-    k = len(spec.backbone.blocks)
-    divisors, counts, widths = [], [], []
-    for s in range(1, spec.stages + 1):
-        divisors.append(2 ** (s - 1))
-        counts.append(k - s + 1)
-        widths.append(spec.backbone.blocks[k - s].out_channels)
+    k = block_count(spec.backbone)
+    stages = range(1, spec.stages + 1)
+    widths = tuple(block_width(spec.backbone, k - s + 1) for s in stages)
     concat = sum(widths)
     head = concat if spec.integration == "none" else spec.integration_channels
-    return StagePlan(tuple(divisors), tuple(counts), tuple(widths), concat, head)
+    return StagePlan(tuple(2 ** (s - 1) for s in stages), widths, concat, head)
 
 
 @dataclass(frozen=True)
@@ -218,45 +231,43 @@ def stage_units(spec: WsmsSpec, stage: int) -> Iterator[Unit]:
     backbone = spec.backbone
     conv = "" if spec.sharing == "shared" else f"stage{stage}."
     norm = f"stage{stage}."
-    stem = backbone.stem
-    sites: tuple = (ConvSite(conv + "stem", stem.in_channels, stem.out_channels),)
-    if stem.batch_norm:
-        sites += (BnSite(norm + "stem.bn", stem.out_channels),)
-    yield Unit("stem", 0, sites)
-    width = stem.out_channels
-    upto = len(backbone.blocks) - stage + 1
-    for b, block in enumerate(backbone.blocks[:upto], start=1):
+    width = block_width(backbone, 0)
+    dense = isinstance(backbone, DenseNet)
+    stem: tuple = (ConvSite(conv + "stem", 3, width),)
+    if not dense:  # dense layers normalize their own input first
+        stem += (BnSite(norm + "stem.bn", width),)
+    yield Unit("stem", 0, stem)
+    for b in range(1, block_count(backbone) - stage + 2):
         c, n = f"{conv}block{b}", f"{norm}block{b}"
-        if isinstance(block, ResidualCompartment):
-            out = block.out_channels
-            for u in range(block.units):
-                stride = block.downsample if u == 0 else 1
+        if isinstance(backbone, ResNet):
+            out = backbone.channels[b - 1]
+            for u in range(backbone.n):
+                stride = 2 if b > 1 and u == 0 else 1
                 yield Unit("residual", b, (
                     ConvSite(f"{c}.unit{u}.conv1", width, out, stride=stride),
                     BnSite(f"{n}.unit{u}.bn1", out),
                     ConvSite(f"{c}.unit{u}.conv2", out, out),
                     BnSite(f"{n}.unit{u}.bn2", out)))
                 width = out
-        elif isinstance(block, DenseBlock):
-            if block.lead_transition:
+        elif dense:
+            if b > 1:
                 yield Unit("transition", b, (
                     ConvSite(f"{c}.transition.conv", width, width, kernel=1),
                     BnSite(f"{n}.transition.bn", width)))
-            for li in range(block.layers):
+            for li in range(backbone.layers_per_block):
                 yield Unit("dense", b, (BnSite(f"{n}.layer{li}.bn", width),
-                                        ConvSite(f"{c}.layer{li}.conv", width, block.growth)))
-                width += block.growth
-        elif isinstance(block, ConvBlock):
-            if block.lead_pool:
-                yield Unit("pool", b)
-            for u in range(block.convs):
-                yield Unit("conv", b, (
-                    ConvSite(f"{c}.unit{u}.conv", width, block.out_channels),
-                    BnSite(f"{n}.unit{u}.bn", block.out_channels)))
-                width = block.out_channels
+                                        ConvSite(f"{c}.layer{li}.conv", width, backbone.growth)))
+                width += backbone.growth
         else:
-            raise TypeError(f"unknown block kind {type(block).__name__}")
-    if backbone.stage_tail == "bn-relu":
+            if b > 1:
+                yield Unit("pool", b)
+            out = backbone.block_widths[b - 1]
+            for u in range(backbone.convs_per_block[b - 1]):
+                yield Unit("conv", b, (
+                    ConvSite(f"{c}.unit{u}.conv", width, out),
+                    BnSite(f"{n}.unit{u}.bn", out)))
+                width = out
+    if dense:
         yield Unit("tail", 0, (BnSite(norm + "tail.bn", width),))
 
 
@@ -272,68 +283,27 @@ def integration_unit(spec: WsmsSpec) -> Optional[Unit]:
 
 
 def build_resnet(n: int, class_count: int,
-                 channels: Tuple[int, ...] = (16, 32, 64)) -> BackboneSpec:
-    """Plain-image residual backbone: stem conv, then one compartment of ``n``
-    residual units per width, stride-2 entries from the second compartment on.
-    Depth with the default three widths is 6n+2."""
-    if n < 1:
-        raise ConfigError(f"resnet units per compartment must be >= 1, got {n}")
-    if len(channels) < 1:
-        raise ConfigError("resnet needs at least one compartment width")
-    stem = StemConv(3, channels[0], batch_norm=True)
-    blocks = []
-    prev = channels[0]
-    for i, width in enumerate(channels):
-        blocks.append(ResidualCompartment(
-            in_channels=prev, out_channels=width, units=n,
-            downsample=1 if i == 0 else 2))
-        prev = width
-    return BackboneSpec("resnet", stem, tuple(blocks), class_count, stage_tail="none")
+                 channels: Tuple[int, ...] = (16, 32, 64)) -> ResNet:
+    spec = ResNet(n, tuple(channels), class_count)
+    spec.validate()
+    return spec
 
 
 def build_densenet(growth: int, class_count: int, layers_per_block: int = 32,
-                   blocks: int = 3, stem_channels: int = 16) -> BackboneSpec:
-    """Densely connected backbone without compression: ``blocks`` dense blocks
-    joined by channel-preserving transitions, each pathway finished by BN+ReLU."""
-    if growth < 1:
-        raise ConfigError(f"densenet growth must be >= 1, got {growth}")
-    if layers_per_block < 1:
-        raise ConfigError(f"densenet layers_per_block must be >= 1, got {layers_per_block}")
-    if blocks < 1:
-        raise ConfigError(f"densenet needs at least one block, got {blocks}")
-    stem = StemConv(3, stem_channels, batch_norm=False)
-    specs = []
-    width = stem_channels
-    for i in range(blocks):
-        block = DenseBlock(in_channels=width, growth=growth,
-                           layers=layers_per_block, lead_transition=i > 0)
-        specs.append(block)
-        width = block.out_channels
-    return BackboneSpec("densenet", stem, tuple(specs), class_count, stage_tail="bn-relu")
+                   blocks: int = 3, stem_channels: int = 16) -> DenseNet:
+    spec = DenseNet(growth, layers_per_block, blocks, stem_channels, class_count)
+    spec.validate()
+    return spec
 
 
 def build_conv_backbone(stem_channels: int, block_widths: Tuple[int, ...],
-                        convs_per_block, class_count: int) -> BackboneSpec:
-    """Small generic backbone of conv3x3-BN-ReLU chains with pooling between
-    blocks. ``convs_per_block`` may be one int or one int per block; a block
-    may hold zero convs, leaving just its entry pooling."""
+                        convs_per_block, class_count: int) -> ConvNet:
+    """``convs_per_block`` may be one int or one int per block."""
     if isinstance(convs_per_block, int):
-        convs_per_block = tuple(convs_per_block for _ in block_widths)
-    if len(convs_per_block) != len(block_widths):
-        raise ConfigError("convs_per_block must match block_widths in length")
-    stem = StemConv(3, stem_channels, batch_norm=True)
-    blocks = []
-    prev = stem_channels
-    for i, (width, convs) in enumerate(zip(block_widths, convs_per_block)):
-        if convs < 0:
-            raise ConfigError(f"block {i + 1} conv count must be >= 0, got {convs}")
-        if convs == 0 and width != prev:
-            raise ConfigError(f"block {i + 1} has no convs and cannot change width "
-                              f"{prev} -> {width}")
-        blocks.append(ConvBlock(in_channels=prev, out_channels=width,
-                                convs=convs, lead_pool=i > 0))
-        prev = width
-    return BackboneSpec("conv", stem, tuple(blocks), class_count, stage_tail="none")
+        convs_per_block = [convs_per_block] * len(block_widths)
+    spec = ConvNet(stem_channels, tuple(block_widths), tuple(convs_per_block), class_count)
+    spec.validate()
+    return spec
 
 
 def _is_int(value) -> bool:
@@ -377,31 +347,16 @@ def backbone_from_config(cfg: dict) -> BackboneSpec:
                               stem_channels=_int_field(cfg, "stem_channels", 16, family))
     if family == "conv":
         widths = _int_list(cfg, "block_widths", None, family)
-        if not widths:
-            raise ConfigError("conv config needs a non-empty 'block_widths' list")
         convs = cfg.get("convs_per_block", 1)
         if not _is_int(convs):
             convs = _int_list(cfg, "convs_per_block", None, family)
-        return build_conv_backbone(_int_field(cfg, "stem_channels", widths[0], family),
-                                   widths, convs, class_count)
+        stem = _int_field(cfg, "stem_channels", widths[0] if widths else 0, family)
+        return build_conv_backbone(stem, widths, convs, class_count)
     raise ConfigError(f"unknown backbone family {family!r}; expected one of {FAMILIES}")
 
 
 def backbone_to_config(spec: BackboneSpec) -> dict:
-    if spec.family == "resnet":
-        return {"family": "resnet", "n": spec.blocks[0].units,
-                "channels": [b.out_channels for b in spec.blocks],
-                "class_count": spec.class_count}
-    if spec.family == "densenet":
-        first = spec.blocks[0]
-        return {"family": "densenet", "growth": first.growth,
-                "layers_per_block": first.layers, "blocks": len(spec.blocks),
-                "stem_channels": spec.stem.out_channels,
-                "class_count": spec.class_count}
-    return {"family": "conv", "stem_channels": spec.stem.out_channels,
-            "block_widths": [b.out_channels for b in spec.blocks],
-            "convs_per_block": [b.convs for b in spec.blocks],
-            "class_count": spec.class_count}
+    return {"family": spec.family, **asdict(spec)}
 
 
 def model_from_config(cfg: dict) -> WsmsSpec:

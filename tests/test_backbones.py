@@ -4,25 +4,31 @@ import pytest
 from wsmsnet.autodiff import Tensor
 from wsmsnet.cost import cost_report
 from wsmsnet.model import build_model
-from wsmsnet.specs import (BackboneSpec, ConfigError, ResidualCompartment,
-                           WsmsSpec, backbone_from_config, backbone_to_config,
-                           build_conv_backbone, build_densenet, build_resnet,
-                           model_from_config, model_to_config, stage_plan)
+from wsmsnet.specs import (ConfigError, ConvSite, WsmsSpec, backbone_from_config,
+                           backbone_to_config, block_width, build_conv_backbone,
+                           build_densenet, build_resnet, model_from_config, model_to_config,
+                           stage_plan, stage_units)
+
+
+def units_of(backbone, stages=1, stage=1):
+    return list(stage_units(WsmsSpec(backbone, stages), stage))
 
 
 class TestResnetSpec:
     def test_compartment_layout(self):
         spec = build_resnet(18, class_count=10)
         assert spec.family == "resnet"
-        assert [b.units for b in spec.blocks] == [18, 18, 18]
-        assert [b.out_channels for b in spec.blocks] == [16, 32, 64]
-        assert [b.downsample for b in spec.blocks] == [1, 2, 2]
-        assert spec.stem.out_channels == 16
+        units = units_of(spec)
+        assert [sum(u.block == b for u in units) for b in (1, 2, 3)] == [18, 18, 18]
+        assert [block_width(spec, b) for b in (1, 2, 3)] == [16, 32, 64]
+        entries = [u.sites[0] for u in units if u.sites[0].path.endswith("unit0.conv1")]
+        assert [site.stride for site in entries] == [1, 2, 2]
+        assert units[0].sites[0].out_channels == block_width(spec, 0) == 16
 
     def test_depth_accounting(self):
         # stem + 2 convs per unit + classifier = 6n + 2 layers with weights
-        spec = build_resnet(18, 10)
-        convs = 1 + sum(2 * b.units for b in spec.blocks)
+        units = units_of(build_resnet(18, 10))
+        convs = sum(isinstance(site, ConvSite) for u in units for site in u.sites)
         assert convs + 1 == 110
 
     def test_residual_unit_parameter_share(self):
@@ -36,26 +42,17 @@ class TestResnetSpec:
         with pytest.raises(ConfigError, match="n"):
             build_resnet(0, 10)
 
-    def test_channel_chain_must_connect(self):
-        good = build_resnet(2, 10)
-        blocks = (good.blocks[0],
-                  ResidualCompartment(in_channels=99, out_channels=32, units=2,
-                                      downsample=2),
-                  good.blocks[2])
-        broken = BackboneSpec(good.family, good.stem, blocks, good.class_count,
-                              good.stage_tail)
-        with pytest.raises(ConfigError, match="input channels"):
-            broken.validate()
-
 
 class TestDensenetSpec:
     def test_block_channel_growth(self):
         spec = build_densenet(24, class_count=10)
-        blocks = spec.blocks
-        assert [b.in_channels for b in blocks] == [16, 784, 1552]
-        assert [b.out_channels for b in blocks] == [784, 1552, 2320]
-        assert [b.lead_transition for b in blocks] == [False, True, True]
-        assert blocks[0].out_channels == 16 + 32 * 24
+        units = units_of(spec)
+        convs = [site for u in units for site in u.sites if isinstance(site, ConvSite)]
+        entries = [next(c for c in convs if c.path.startswith(f"block{b}.")) for b in (1, 2, 3)]
+        assert [c.in_channels for c in entries] == [16, 784, 1552]
+        assert [block_width(spec, b) for b in (1, 2, 3)] == [784, 1552, 2320]
+        assert [u.block for u in units if u.kind == "transition"] == [2, 3]
+        assert block_width(spec, 1) == 16 + 32 * 24
 
     def test_first_block_conv_parameter_total(self):
         spec = WsmsSpec(build_densenet(24, 10), stages=1)
@@ -66,13 +63,23 @@ class TestDensenetSpec:
 
     def test_stage_tail_normalizes_features(self):
         spec = build_densenet(24, 10)
-        assert spec.stage_tail == "bn-relu"
+        for stage in (1, 2, 3):
+            tail = units_of(spec, 3, stage)[-1]
+            assert tail.kind == "tail"
+            assert tail.sites[0].channels == block_width(spec, 4 - stage)
 
 
 class TestConvBackbone:
     def test_zero_conv_block_keeps_width(self):
         spec = build_conv_backbone(8, (8, 8), convs_per_block=(1, 0), class_count=3)
-        assert spec.blocks[1].convs == 0
+        assert spec.convs_per_block[1] == 0
+        assert [u.kind for u in units_of(spec) if u.block == 2] == ["pool"]
+        assert block_width(spec, 2) == 8
+
+    def test_stem_width_is_its_own_setting(self):
+        spec = build_conv_backbone(5, (8, 8), 1, class_count=3)
+        stem, first = units_of(spec)[:2]
+        assert stem.sites[0].out_channels == first.sites[0].in_channels == 5
 
     def test_zero_conv_block_cannot_change_width(self):
         with pytest.raises(ConfigError, match="cannot change width"):
@@ -91,10 +98,10 @@ class TestWsmsSpec:
             WsmsSpec(backbone, stages=2, integration="conv5x5").validate()
 
     def test_stage_plan_for_three_stages(self):
-        plan = stage_plan(WsmsSpec(build_resnet(18, 10), stages=3,
-                                   integration="conv1x1"))
+        spec = WsmsSpec(build_resnet(18, 10), stages=3, integration="conv1x1")
+        plan = stage_plan(spec)
         assert plan.scale_divisors == (1, 2, 4)
-        assert plan.block_counts == (3, 2, 1)
+        assert [max(u.block for u in stage_units(spec, s)) for s in (1, 2, 3)] == [3, 2, 1]
         assert plan.stage_channels == (64, 32, 16)
         assert plan.concat_channels == 112
         assert plan.head_channels == 128

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,8 +7,11 @@ from pathlib import Path
 import pytest
 
 from wsmsnet.cli import main
+from wsmsnet.model import build_model, save_checkpoint
+from wsmsnet.specs import model_from_config
 
-PRESETS = Path(__file__).resolve().parent.parent / "presets"
+ROOT = Path(__file__).resolve().parent.parent
+PRESETS = ROOT / "presets"
 
 
 def write_config(tmp_path, body, name="config.json"):
@@ -108,6 +112,8 @@ class TestCount:
                        "class_count": 5}}, "block 2 width must be >= 1"),
         ({"backbone": {"family": "resnet", "n": 1, "channels": [0, 16],
                        "class_count": 5}}, "stem width must be >= 1"),
+        ({"backbone": {"family": "resnet", "n": 1, "channels": [16, 8],
+                       "class_count": 5}}, "block 2 width 8 is below the previous 16"),
         ({"backbone": {"family": "densenet", "growth": 4, "layers_per_block": 2,
                        "stem_channels": -4, "class_count": 5}}, "stem width must be >= 1"),
         ({"backbone": {"family": "conv", "block_widths": [8, -8],
@@ -116,7 +122,8 @@ class TestCount:
                        "convs_per_block": [1, -1], "class_count": 5}}, "conv count must be >= 0"),
     ], ids=["stages", "integration_channels", "bool-stages", "layers_per_block", "blocks",
             "channels-item", "channels-scalar", "block_widths", "convs_per_block",
-            "negative-channels", "zero-channels", "negative-stem_channels",
+            "negative-channels", "zero-channels", "narrowing-channels",
+            "negative-stem_channels",
             "negative-block_widths", "negative-convs_per_block"])
     def test_non_integer_field_exits_2(self, tmp_path, capsys, model, bad):
         body = {"backbone": {"family": "resnet", "n": 1, "channels": [8, 16],
@@ -227,6 +234,19 @@ class TestTrainEvalPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error:") and bad in err
 
+    def test_data_section_not_an_object_exits_2(self, tmp_path, capsys):
+        body = json.loads(Path(tiny_synth_config(tmp_path, epochs=0)).read_text())
+        body["data"] = ["synth"]
+        path = write_config(tmp_path, body, "bad.json")
+        run_dir = tmp_path / "run"
+        assert main(["train", path, "--out", str(run_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: config data section must be an object")
+        assert not run_dir.exists()
+        checkpoint = tmp_path / "model.npz"
+        save_checkpoint(build_model(model_from_config(body["model"]), seed=0), checkpoint)
+        assert main(["eval", str(checkpoint), path]) == 2
+        assert capsys.readouterr().err.startswith("error: config data section must be an object")
+
     def test_bad_train_key_exits_2(self, tmp_path, capsys):
         body = json.loads(Path(tiny_synth_config(tmp_path)).read_text())
         body["train"]["warmup"] = 1
@@ -237,9 +257,12 @@ class TestTrainEvalPipeline:
 
 class TestConsoleEntryPoint:
     def test_module_invocation_works(self):
+        # pytest's pythonpath setting reaches only its own process, not a child
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         result = subprocess.run(
             [sys.executable, "-m", "wsmsnet.cli", "--threads", "1", "count",
              str(PRESETS / "synth-wsms-tiny.json")],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=env)
         assert result.returncode == 0
         assert "params_exact=5485" in result.stdout

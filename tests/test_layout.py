@@ -3,7 +3,8 @@ checkpoint layouts stay fixed.
 
 Every runtime convolution must run under its cost row's path with its cost
 row's output shape, in row order, for every family, stage count, integration
-and sharing. A preset's parameter list and batch norm buffers are what a
+and sharing: on a fixed grid of tiny specs, and on valid specs that
+hypothesis draws. A preset's parameter list and batch norm buffers are what a
 checkpoint is loaded against, so their order is pinned.
 """
 
@@ -14,14 +15,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsmsnet import layers
 from wsmsnet.autodiff import Tensor
 from wsmsnet.cost import cost_report
 from wsmsnet.model import build_model, image_pyramid, run_unit
-from wsmsnet.specs import (INTEGRATIONS, SHARINGS, WsmsSpec, build_conv_backbone,
-                           build_densenet, build_resnet, integration_unit, model_from_config,
-                           stage_units)
+from wsmsnet.specs import (FAMILIES, INTEGRATIONS, SHARINGS, WsmsSpec, block_count,
+                           build_conv_backbone, build_densenet, build_resnet, integration_unit,
+                           model_from_config, model_to_config, stage_units)
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 INPUT = 8  # three stages leave stage 3 a 2x2 input that still pools once
@@ -37,7 +39,7 @@ GRID = {
         WsmsSpec(backbone, stages, integration, 5, sharing)
     for (family, backbone), integration, sharing in itertools.product(
         TINY_BACKBONES.items(), INTEGRATIONS, SHARINGS)
-    for stages in range(1, len(backbone.blocks) + 1)
+    for stages in range(1, block_count(backbone) + 1)
 }
 
 # SHA-256 of each preset's layout (see layout_digest). A checkpoint loads only
@@ -71,25 +73,49 @@ def layout_digest(model) -> str:
     return hashlib.sha256(json.dumps(layout).encode()).hexdigest()
 
 
+def check_layers_match_rows(spec):
+    """Runtime convs run in cost row order with the rows' paths and output
+    shapes, batch norms match the bn rows, and the parameter totals agree."""
+    model = build_model(spec, seed=0)
+    calls = []
+    conv_call = layers.Conv2dLayer.__call__
+
+    def recording(layer, x):
+        out = conv_call(layer, x)
+        calls.append((layer.name, out.shape[1:]))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(layers.Conv2dLayer, "__call__", recording)
+        model.forward(Tensor(np.zeros((1, 3, INPUT, INPUT))))
+    report = cost_report(spec, (INPUT, INPUT))
+    assert calls == [(r.path, r.out_shape) for r in report.rows if r.kind == "conv"]
+    assert [bn.name for bn in model.batch_norms()] == \
+        [r.path for r in report.rows if r.kind == "bn"]
+    assert model.param_count() == report.total_params
+
+
+def check_truncated_pathways_align(spec):
+    """Stage 1 cut after pathway s's last block, then pathway s's own tail if
+    it has one, reproduces pathway s bit for bit: same conv objects, same-init
+    batch norm. At s=1 the cut keeps every block, so only skipping the tail
+    keeps it from running twice."""
+    k = block_count(spec.backbone)
+    model = build_model(spec, seed=0)
+    x = Tensor(np.random.default_rng(8).standard_normal((2, 3, INPUT, INPUT)))
+    for s, level in enumerate(image_pyramid(x, spec.stages), start=1):
+        pathway = model.stages[s - 1]
+        truncated = model.stages[0](level, False, upto_block=k - s + 1)
+        last, last_layers = pathway.units[-1]
+        if last.kind == "tail":
+            truncated = run_unit(last, last_layers, truncated, False)
+        assert truncated.data.tobytes() == pathway(level, False).data.tobytes()
+
+
 class TestRuntimeMatchesCostRows:
     @pytest.mark.parametrize("spec", list(GRID.values()), ids=list(GRID))
-    def test_layers_match_rows(self, spec, monkeypatch):
-        model = build_model(spec, seed=0)
-        calls = []
-        conv_call = layers.Conv2dLayer.__call__
-
-        def recording(layer, x):
-            out = conv_call(layer, x)
-            calls.append((layer.name, out.shape[1:]))
-            return out
-
-        monkeypatch.setattr(layers.Conv2dLayer, "__call__", recording)
-        model.forward(Tensor(np.zeros((1, 3, INPUT, INPUT))))
-        report = cost_report(spec, (INPUT, INPUT))
-        assert calls == [(r.path, r.out_shape) for r in report.rows if r.kind == "conv"]
-        assert [bn.name for bn in model.batch_norms()] == \
-            [r.path for r in report.rows if r.kind == "bn"]
-        assert model.param_count() == report.total_params
+    def test_layers_match_rows(self, spec):
+        check_layers_match_rows(spec)
 
 
 class TestRuntimeRunsTheSpecWalk:
@@ -107,21 +133,57 @@ class TestRuntimeRunsTheSpecWalk:
 
     @pytest.mark.parametrize("family", sorted(TINY_BACKBONES))
     def test_truncated_pathways_align_bitwise(self, family):
-        # stage 1 cut after pathway s's last block, then pathway s's own tail
-        # if it has one, reproduces pathway s bit for bit: same conv objects,
-        # same-init batch norm. At s=1 the cut keeps every block, so only
-        # skipping the tail keeps it from running twice.
         backbone = TINY_BACKBONES[family]
-        k = len(backbone.blocks)
-        model = build_model(WsmsSpec(backbone, k, "conv1x1", 5), seed=0)
-        x = Tensor(np.random.default_rng(8).standard_normal((2, 3, INPUT, INPUT)))
-        for s, level in enumerate(image_pyramid(x, k), start=1):
-            pathway = model.stages[s - 1]
-            truncated = model.stages[0](level, False, upto_block=k - s + 1)
-            last, last_layers = pathway.units[-1]
-            if last.kind == "tail":
-                truncated = run_unit(last, last_layers, truncated, False)
-            assert truncated.data.tobytes() == pathway(level, False).data.tobytes()
+        check_truncated_pathways_align(WsmsSpec(backbone, block_count(backbone), "conv1x1", 5))
+
+
+WIDTHS = st.integers(1, 6)
+
+
+@st.composite
+def backbones(draw):
+    """A valid tiny backbone of any family with 1..3 blocks: resnet widths
+    never narrow, and a conv block of zero convs keeps the previous width."""
+    family, k = draw(st.sampled_from(FAMILIES)), draw(st.integers(1, 3))
+    class_count = draw(st.integers(2, 4))
+    if family == "resnet":
+        widths = sorted(draw(st.lists(WIDTHS, min_size=k, max_size=k)))
+        return build_resnet(draw(st.integers(1, 2)), class_count, tuple(widths))
+    if family == "densenet":
+        return build_densenet(draw(st.integers(1, 3)), class_count,
+                              draw(st.integers(1, 2)), k, draw(WIDTHS))
+    stem = width = draw(WIDTHS)
+    widths, convs = [], []
+    for _ in range(k):
+        convs.append(draw(st.integers(0, 2)))
+        width = draw(WIDTHS) if convs[-1] else width
+        widths.append(width)
+    return build_conv_backbone(stem, tuple(widths), tuple(convs), class_count)
+
+
+@st.composite
+def wsms_specs(draw, sharing=st.sampled_from(SHARINGS)):
+    backbone = draw(backbones())
+    return WsmsSpec(backbone, draw(st.integers(1, block_count(backbone))),
+                    draw(st.sampled_from(INTEGRATIONS)), draw(WIDTHS), draw(sharing))
+
+
+# derandomized so every run of the suite checks the same examples
+class TestEveryValidSpec:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(wsms_specs())
+    def test_json_round_trip_returns_an_equal_spec(self, spec):
+        assert model_from_config(json.loads(json.dumps(model_to_config(spec)))) == spec
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(wsms_specs())
+    def test_layers_match_rows(self, spec):
+        check_layers_match_rows(spec)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(wsms_specs(sharing=st.just("shared")))
+    def test_truncated_pathways_align_bitwise(self, spec):
+        check_truncated_pathways_align(spec)
 
 
 class TestCheckpointLayout:
