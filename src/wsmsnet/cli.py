@@ -10,12 +10,16 @@ failures (training divergence).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 DATA_ROOT_ENV = "WSMSNET_DATA"
+CIFAR_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
+CIFAR_TEST_FILE = "test_batch.bin"
 
 
 def _set_threads(count: int) -> None:
@@ -103,94 +107,77 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _data_section(cfg: dict) -> dict:
-    """A copy of the config's data section, which must be an object."""
-    from .specs import ConfigError
+def _resolve_datasets(cfg: dict, data_arg=None, seed=None):
+    """Read the config's data section, then load its splits.
 
-    section = cfg.get("data", {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config data section must be an object, "
-                          f"got {type(section).__name__}")
-    return dict(section)
+    Returns (train, eval, mean, std, manifest), both splits normalized with
+    the training split's statistics. ``seed`` overrides a synth section's.
+    """
+    from .data import (CifarLimits, Dataset, SynthScaleConfig, load_cifar,
+                       normalize_per_channel, synth_scale_dataset)
+    from .specs import ConfigError, config_object, read_config
 
-
-def _resolve_datasets(section: dict, data_arg, seed_override=None):
-    """Returns (train_ds, eval_ds, data_manifest) from a checked data section."""
-    from .data import (SynthScaleConfig, load_cifar, normalize_per_channel,
-                       synth_scale_dataset)
-    from .specs import ConfigError
-    import dataclasses
-    import hashlib
-
+    section = dict(config_object(cfg.get("data", {}), "data"))
     kind = section.pop("kind", None)
     if kind == "synth":
         split = section.pop("eval_split", "held")
         if split not in ("held", "seen"):
             raise ConfigError(f"synth eval_split must be 'held' or 'seen', got {split!r}")
-        if seed_override is not None:
-            section["seed"] = seed_override
+        if seed is not None:
+            section["seed"] = seed
         scfg = SynthScaleConfig.from_dict(section)
         train_ds, seen, held = synth_scale_dataset(scfg)
-        eval_ds = held if split == "held" else seen
-        train_n, (eval_n,), mean, std = normalize_per_channel(train_ds, eval_ds)
-        manifest = {"kind": "synth", "eval_split": split,
-                    "config": dataclasses.asdict(scfg)}
+        train_n, (eval_n,), mean, std = normalize_per_channel(
+            train_ds, held if split == "held" else seen)
+        manifest = {"kind": "synth", "eval_split": split, "config": asdict(scfg)}
         return train_n, eval_n, mean, std, manifest
-    if kind in ("cifar10", "cifar100"):
-        root = Path(data_arg or os.environ.get(DATA_ROOT_ENV, ""))
-        if not root or not root.exists():
-            raise ConfigError(
-                f"dataset root not found; pass --data or set ${DATA_ROOT_ENV}")
-        train_files = section.get("train_files", ["data_batch_%d.bin" % i
-                                                  for i in range(1, 6)])
-        test_file = section.get("test_file", "test_batch.bin")
-        import numpy as np
-        from .data import Dataset
+    if kind not in ("cifar10", "cifar100"):
+        raise ConfigError(f"config data section has unknown kind {kind!r}; "
+                          f"expected synth, cifar10, or cifar100")
+    limits = read_config(CifarLimits, section, kind)
+    root = data_arg or os.environ.get(DATA_ROOT_ENV)
+    if not root or not Path(root).exists():
+        raise ConfigError(f"dataset root not found; pass --data or set ${DATA_ROOT_ENV}")
+    import numpy as np
 
-        parts = [load_cifar(root / f, kind) for f in train_files]
-        images = np.concatenate([p.images for p in parts])
-        labels = np.concatenate([p.labels for p in parts])
-        train_ds = Dataset(images, labels, np.arange(len(labels), dtype=np.int64),
-                           parts[0].class_count)
-        eval_ds = load_cifar(root / test_file, kind)
-        limit = section.get("train_limit")
-        if limit:
-            train_ds = Dataset(train_ds.images[:limit], train_ds.labels[:limit],
-                               train_ds.ids[:limit], train_ds.class_count)
-        eval_limit = section.get("test_limit")
-        if eval_limit:
-            eval_ds = Dataset(eval_ds.images[:eval_limit], eval_ds.labels[:eval_limit],
-                              eval_ds.ids[:eval_limit], eval_ds.class_count)
-        train_n, (eval_n,), mean, std = normalize_per_channel(train_ds, eval_ds)
-        digest = hashlib.sha256()
-        for f in [*train_files, test_file]:
-            digest.update((root / f).read_bytes())
-        manifest = {"kind": kind, "root": str(root), "sha256": digest.hexdigest(),
-                    "train_examples": len(train_n), "test_examples": len(eval_n)}
-        return train_n, eval_n, mean, std, manifest
-    raise ConfigError(f"config data section has unknown kind {kind!r}; "
-                      f"expected synth, cifar10, or cifar100")
+    paths = [Path(root) / f for f in (*CIFAR_TRAIN_FILES, CIFAR_TEST_FILE)]
+    *parts, test = [load_cifar(path, kind) for path in paths]
+    n, m = limits.train_limit or None, limits.test_limit or None  # 0 keeps a whole split
+    labels = np.concatenate([p.labels for p in parts])[:n]
+    train_ds = Dataset(np.concatenate([p.images for p in parts])[:n], labels,
+                       np.arange(len(labels), dtype=np.int64), test.class_count)
+    train_n, (eval_n,), mean, std = normalize_per_channel(
+        train_ds, Dataset(test.images[:m], test.labels[:m], test.ids[:m], test.class_count))
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.read_bytes())
+    manifest = {"kind": kind, "root": str(Path(root)), "sha256": digest.hexdigest(),
+                "train_examples": len(train_n), "test_examples": len(eval_n)}
+    return train_n, eval_n, mean, std, manifest
 
 
 def cmd_train(args) -> int:
     from . import __version__
     from .model import build_model
-    from .specs import ConfigError, model_from_config, model_to_config
+    from .specs import ConfigError, config_object, model_from_config, model_to_config
     from .trainer import TrainConfig, train
 
     cfg = _load_config(args.config)
     spec = model_from_config(cfg.get("model", {}))
     overrides = {key: value for key, value in (("seed", args.seed), ("epochs", args.epochs))
                  if value is not None}
-    try:
-        tcfg = TrainConfig.from_dict({**cfg.get("train", {}), **overrides})
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{args.config}: bad train settings: {err}") from err
-    data_section = _data_section(cfg)
+    tcfg = TrainConfig.from_dict({**config_object(cfg.get("train", {}), "train"), **overrides})
+    train_ds, eval_ds, mean, std, data_manifest = _resolve_datasets(cfg, args.data, args.seed)
 
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
     lock = run_dir / "run.lock"
+    try:
+        os.kill(int(lock.read_text()), 0)
+    except ProcessLookupError:  # the run that wrote the lock is gone
+        lock.unlink(missing_ok=True)
+    except (OSError, ValueError, OverflowError):  # no lock, or a pid we may not signal
+        pass
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
@@ -199,13 +186,11 @@ def cmd_train(args) -> int:
     os.write(fd, str(os.getpid()).encode())
     os.close(fd)
     try:
-        train_ds, eval_ds, mean, std, data_manifest = _resolve_datasets(
-            data_section, args.data, seed_override=args.seed)
         model = build_model(spec, seed=tcfg.seed)
         manifest = {
             "artifact_version": __version__,
             "model": model_to_config(spec),
-            "train": json.loads(json.dumps(tcfg.__dict__)),
+            "train": json.loads(json.dumps(asdict(tcfg))),
             "data": data_manifest,
             "normalization": {"mean": mean.tolist(), "std": std.tolist()},
         }
@@ -237,9 +222,7 @@ def cmd_eval(args) -> int:
     from .trainer import evaluate, write_pred_dump
 
     model, _extras = load_checkpoint(args.checkpoint)
-    cfg = _load_config(args.config)
-    train_ds, eval_ds, mean, std, _manifest = _resolve_datasets(_data_section(cfg), args.data)
-    del train_ds, mean, std
+    _train, eval_ds, *_ = _resolve_datasets(_load_config(args.config), args.data)
     error, rows = evaluate(model, eval_ds)
     print(f"error={error:.2f}% over {len(rows)} examples")
     if args.out:

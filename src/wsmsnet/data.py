@@ -10,13 +10,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .specs import ConfigError
+from .specs import ConfigError, read_config
 
 log = logging.getLogger(__name__)
 
@@ -104,6 +104,19 @@ def load_cifar(path, variant: str = "cifar10") -> Dataset:
                    np.arange(len(labels), dtype=np.int64), LABEL_RANGE[variant])
 
 
+@dataclass(frozen=True)
+class CifarLimits:
+    """A CIFAR data section's settings: how many leading examples of the
+    training and test splits to keep; 0 keeps a whole split."""
+    train_limit: int = 0
+    test_limit: int = 0
+
+    def validate(self) -> None:
+        for name, limit in asdict(self).items():
+            if limit < 0:
+                raise ConfigError(f"{name} must be >= 0, got {limit}")
+
+
 def channel_stats(images: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per-channel mean and std over a whole split; zero stds become 1."""
     mean = images.mean(axis=(0, 2, 3))
@@ -167,53 +180,32 @@ class SynthScaleConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _same_kind(value, f.default):
-                raise TypeError(f"{f.name} must be like {f.default!r}, got {value!r}")
         if not 2 <= self.class_count <= len(GLYPHS):
-            raise ValueError(f"class_count must be in [2, {len(GLYPHS)}], "
-                             f"got {self.class_count}")
+            raise ConfigError(f"class_count must be in [2, {len(GLYPHS)}], "
+                              f"got {self.class_count}")
         if self.image_size < 8:
-            raise ValueError(f"image_size must be >= 8, got {self.image_size}")
+            raise ConfigError(f"image_size must be >= 8, got {self.image_size}")
         for name, (lo, hi) in (("train_scales", self.train_scales),
                                ("test_scales", self.test_scales)):
             if not (0 < lo <= hi <= 1):
-                raise ValueError(f"{name} must satisfy 0 < lo <= hi <= 1, got ({lo}, {hi})")
+                raise ConfigError(f"{name} must satisfy 0 < lo <= hi <= 1, got ({lo}, {hi})")
         t0, t1 = sorted([self.train_scales, self.test_scales])
         if t0[1] >= t1[0]:
-            raise ValueError("train and test scale ranges must be disjoint")
+            raise ConfigError("train and test scale ranges must be disjoint")
         r_max = self.image_size / 2.0 - 2.0
         smallest = min(self.train_scales[0], self.test_scales[0])
         if 2.0 * smallest * r_max < 2.0:  # glyph under 2 pixels is unresolvable
-            raise ValueError(f"scale {smallest} renders a glyph under 2 pixels "
-                             f"at image_size {self.image_size}")
+            raise ConfigError(f"scale {smallest} renders a glyph under 2 pixels "
+                              f"at image_size {self.image_size}")
         if self.noise < 0:
-            raise ValueError(f"noise must be >= 0, got {self.noise}")
+            raise ConfigError(f"noise must be >= 0, got {self.noise}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "SynthScaleConfig":
-        """Build and validate a config from its JSON form, where the scale
-        ranges are lists. Any bad key, type or value raises ConfigError."""
-        try:
-            config = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()})
-            config.validate()
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"bad synth data section: {err}") from err
-        return config
-
-
-def _same_kind(value, default) -> bool:
-    """Whether ``value`` fits a field whose default is ``default``: an integer
-    for an integer, any number for a float, a pair of numbers for a pair."""
-    if isinstance(default, tuple):
-        return (isinstance(value, tuple) and len(value) == 2
-                and all(_same_kind(v, 0.0) for v in value))
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, int) or not isinstance(default, int)
+        """Read and validate a config's JSON form; any fault raises ConfigError."""
+        return read_config(cls, cfg, "synth")
 
 
 def _glyph_mask(glyph: str, dx: np.ndarray, dy: np.ndarray, r: float) -> np.ndarray:

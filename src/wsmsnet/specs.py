@@ -13,8 +13,10 @@ layer's name is its cost row's path.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import ClassVar, Iterator, Optional, Tuple, Union
+from contextlib import suppress
+from dataclasses import MISSING, asdict, dataclass, fields
+from typing import (ClassVar, Iterator, Optional, Tuple, Union, get_args, get_origin,
+                    get_type_hints)
 
 INTEGRATIONS = ("none", "conv1x1", "conv3x3")
 SHARINGS = ("shared", "unshared")
@@ -23,6 +25,81 @@ FAMILIES = ("resnet", "densenet", "conv")
 
 class ConfigError(ValueError):
     """Raised for malformed model or run configuration."""
+
+
+_KINDS = {bool: "boolean", int: "integer", float: "number", str: "string"}
+
+
+def config_object(value, section: str) -> dict:
+    """``value`` if it is a JSON object, else a ConfigError naming ``section``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"config {section} section must be an object, "
+                          f"got {type(value).__name__}")
+    return value
+
+
+def _tuples(value):
+    """A JSON value with every list, nested too, read as a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def _kind(hint) -> str:
+    """The JSON kind a field annotated ``hint`` takes, as messages name it."""
+    if get_origin(hint) is Union:
+        return " or ".join(_kind(arm) for arm in get_args(hint) if arm is not type(None))
+    return _KINDS.get(hint, "list" if get_origin(hint) is tuple else "object")
+
+
+def _fit(hint, value):
+    """``value`` as a field annotated ``hint`` holds it, or TypeError. An int is
+    not a bool, and an int in a float field becomes a float."""
+    args = get_args(hint)
+    if get_origin(hint) is Union:
+        for arm in args:
+            with suppress(TypeError):
+                return _fit(arm, value)
+    elif get_origin(hint) is tuple:
+        if isinstance(value, tuple):
+            items = args[:1] * len(value) if args[-1] is Ellipsis else args
+            if len(items) == len(value):
+                return tuple(map(_fit, items, value))
+    elif hint is float and type(value) is int:
+        return float(value)
+    elif isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
+        return value
+    raise TypeError(value)
+
+
+def read_config(cls, cfg, section: str):
+    """Build settings dataclass ``cls`` from its JSON object ``cfg``, then
+    validate it.
+
+    Unknown keys, a missing field that has no default, a value that does not
+    fit its field's annotation and every fault ``validate()`` finds raise
+    ConfigError. Lists are read as tuples.
+    """
+    unknown = sorted(set(config_object(cfg, section)) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {section} config keys: {unknown}")
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        hint, value = hints[f.name], _tuples(cfg.get(f.name, f.default))
+        if value is MISSING:
+            raise ConfigError(f"{section} config needs {_kind(hint)} {f.name!r}")
+        try:
+            values[f.name] = _fit(hint, value)
+        except TypeError:
+            plain = f.default in (MISSING, None) or get_origin(hint) is Union
+            expected = _kind(hint) if plain else f"like {f.default!r}"
+            raise ConfigError(f"{section} config: {f.name} must be {expected}, "
+                              f"got {value!r}") from None
+    settings = cls(**values)
+    try:
+        settings.validate()
+    except ConfigError as err:
+        raise ConfigError(f"{section} config: {err}") from None
+    return settings
 
 
 def _check_sizes(class_count: int, stem: int, widths) -> None:
@@ -35,7 +112,7 @@ def _check_sizes(class_count: int, stem: int, widths) -> None:
             raise ConfigError(f"block {b} width must be >= 1, got {width}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ResNet:
     """Residual backbone: a stem conv to ``channels[0]``, then one compartment
     of ``n`` two-conv residual units per width. Every compartment after the
@@ -44,7 +121,7 @@ class ResNet:
     widths is 6n+2."""
     family: ClassVar[str] = "resnet"
     n: int
-    channels: Tuple[int, ...]
+    channels: Tuple[int, ...] = (16, 32, 64)
     class_count: int
 
     def validate(self) -> None:
@@ -59,7 +136,7 @@ class ResNet:
                                   f"the zero-padding shortcut can only widen")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DenseNet:
     """Densely connected backbone without compression: a stem conv, then
     ``blocks`` blocks of ``layers_per_block`` BN-ReLU-conv3x3(growth) layers.
@@ -68,9 +145,9 @@ class DenseNet:
     pathway ends in BN+ReLU."""
     family: ClassVar[str] = "densenet"
     growth: int
-    layers_per_block: int
-    blocks: int
-    stem_channels: int
+    layers_per_block: int = 32
+    blocks: int = 3
+    stem_channels: int = 16
     class_count: int
 
     def validate(self) -> None:
@@ -84,17 +161,28 @@ class DenseNet:
         _check_sizes(self.class_count, self.stem_channels, ())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ConvNet:
     """Plain backbone: a stem conv, then per block ``convs_per_block[i]``
     conv3x3-BN-ReLU units at width ``block_widths[i]``. Every block after the
     first enters through 2x2 average pooling; a block of zero convs is only
-    that pooling and keeps the previous width."""
+    that pooling and keeps the previous width.
+
+    One int ``convs_per_block`` gives every block that many convs, and the stem
+    is as wide as the first block unless ``stem_channels`` says otherwise."""
     family: ClassVar[str] = "conv"
-    stem_channels: int
+    stem_channels: Optional[int] = None
     block_widths: Tuple[int, ...]
-    convs_per_block: Tuple[int, ...]
+    convs_per_block: Union[int, Tuple[int, ...]] = 1
     class_count: int
+
+    def __post_init__(self) -> None:
+        if isinstance(self.convs_per_block, int):
+            object.__setattr__(self, "convs_per_block",
+                               (self.convs_per_block,) * len(self.block_widths))
+        if self.stem_channels is None:
+            object.__setattr__(self, "stem_channels",
+                               self.block_widths[0] if self.block_widths else 0)
 
     def validate(self) -> None:
         if not self.block_widths:
@@ -141,7 +229,7 @@ class WsmsSpec:
     norm parameters and buffers are always per stage.
     """
     backbone: BackboneSpec
-    stages: int
+    stages: int = 1
     integration: str = "none"
     integration_channels: int = 128
     sharing: str = "shared"
@@ -282,76 +370,36 @@ def integration_unit(spec: WsmsSpec) -> Optional[Unit]:
         BnSite("integration.bn", width)))
 
 
+def _valid(spec):
+    spec.validate()
+    return spec
+
+
 def build_resnet(n: int, class_count: int,
-                 channels: Tuple[int, ...] = (16, 32, 64)) -> ResNet:
-    spec = ResNet(n, tuple(channels), class_count)
-    spec.validate()
-    return spec
+                 channels: Tuple[int, ...] = ResNet.channels) -> ResNet:
+    return _valid(ResNet(n=n, channels=tuple(channels), class_count=class_count))
 
 
-def build_densenet(growth: int, class_count: int, layers_per_block: int = 32,
-                   blocks: int = 3, stem_channels: int = 16) -> DenseNet:
-    spec = DenseNet(growth, layers_per_block, blocks, stem_channels, class_count)
-    spec.validate()
-    return spec
+def build_densenet(growth: int, class_count: int,
+                   layers_per_block: int = DenseNet.layers_per_block,
+                   blocks: int = DenseNet.blocks,
+                   stem_channels: int = DenseNet.stem_channels) -> DenseNet:
+    return _valid(DenseNet(growth=growth, layers_per_block=layers_per_block, blocks=blocks,
+                           stem_channels=stem_channels, class_count=class_count))
 
 
 def build_conv_backbone(stem_channels: int, block_widths: Tuple[int, ...],
                         convs_per_block, class_count: int) -> ConvNet:
-    """``convs_per_block`` may be one int or one int per block."""
-    if isinstance(convs_per_block, int):
-        convs_per_block = [convs_per_block] * len(block_widths)
-    spec = ConvNet(stem_channels, tuple(block_widths), tuple(convs_per_block), class_count)
-    spec.validate()
-    return spec
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int_field(cfg: dict, key: str, default: int, section: str) -> int:
-    value = cfg.get(key, default)
-    if not _is_int(value):
-        raise ConfigError(f"{section} config field {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _int_list(cfg: dict, key: str, default, section: str) -> Tuple[int, ...]:
-    value = cfg.get(key, default)
-    if not isinstance(value, (list, tuple)) or not all(_is_int(v) for v in value):
-        raise ConfigError(f"{section} config field {key!r} must be a list of integers, "
-                          f"got {value!r}")
-    return tuple(value)
+    return _valid(ConvNet(stem_channels=stem_channels, block_widths=tuple(block_widths),
+                          convs_per_block=convs_per_block, class_count=class_count))
 
 
 def backbone_from_config(cfg: dict) -> BackboneSpec:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"backbone config must be an object, got {type(cfg).__name__}")
-    family = cfg.get("family")
-    class_count = cfg.get("class_count")
-    if not _is_int(class_count):
-        raise ConfigError("backbone config needs an integer 'class_count'")
-    if family == "resnet":
-        n = cfg.get("n")
-        if not _is_int(n):
-            raise ConfigError("resnet config needs integer 'n' (units per compartment)")
-        return build_resnet(n, class_count, _int_list(cfg, "channels", (16, 32, 64), family))
-    if family == "densenet":
-        growth = cfg.get("growth")
-        if not _is_int(growth):
-            raise ConfigError("densenet config needs integer 'growth'")
-        return build_densenet(growth, class_count,
-                              layers_per_block=_int_field(cfg, "layers_per_block", 32, family),
-                              blocks=_int_field(cfg, "blocks", 3, family),
-                              stem_channels=_int_field(cfg, "stem_channels", 16, family))
-    if family == "conv":
-        widths = _int_list(cfg, "block_widths", None, family)
-        convs = cfg.get("convs_per_block", 1)
-        if not _is_int(convs):
-            convs = _int_list(cfg, "convs_per_block", None, family)
-        stem = _int_field(cfg, "stem_channels", widths[0] if widths else 0, family)
-        return build_conv_backbone(stem, widths, convs, class_count)
+    """Read a backbone's settings, picking its class by the ``family`` key."""
+    family = config_object(cfg, "backbone").get("family")
+    for cls in (ResNet, DenseNet, ConvNet):
+        if family == cls.family:
+            return read_config(cls, {k: v for k, v in cfg.items() if k != "family"}, family)
     raise ConfigError(f"unknown backbone family {family!r}; expected one of {FAMILIES}")
 
 
@@ -361,24 +409,10 @@ def backbone_to_config(spec: BackboneSpec) -> dict:
 
 def model_from_config(cfg: dict) -> WsmsSpec:
     """Build a validated WsmsSpec from its dict form."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"model config must be an object, got {type(cfg).__name__}")
-    if "backbone" not in cfg:
-        raise ConfigError("model config needs a 'backbone' section")
-    spec = WsmsSpec(
-        backbone=backbone_from_config(cfg["backbone"]),
-        stages=_int_field(cfg, "stages", 1, "model"),
-        integration=cfg.get("integration", "none"),
-        integration_channels=_int_field(cfg, "integration_channels", 128, "model"),
-        sharing=cfg.get("sharing", "shared"),
-    )
-    spec.validate()
-    return spec
+    cfg = config_object(cfg, "model")
+    return read_config(WsmsSpec, {**cfg, "backbone": backbone_from_config(cfg.get("backbone"))},
+                       "model")
 
 
 def model_to_config(spec: WsmsSpec) -> dict:
-    return {"backbone": backbone_to_config(spec.backbone),
-            "stages": spec.stages,
-            "integration": spec.integration,
-            "integration_channels": spec.integration_channels,
-            "sharing": spec.sharing}
+    return {**asdict(spec), "backbone": backbone_to_config(spec.backbone)}

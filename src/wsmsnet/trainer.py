@@ -22,6 +22,7 @@ from .data import Dataset, augment
 from .layers import ParamStore
 from .model import Model, save_checkpoint
 from .ops import softmax_cross_entropy
+from .specs import ConfigError, read_config
 
 RESNET_SCHEDULE = ((1, 0.01), (2, 0.1), (82, 0.01), (123, 0.001))
 DENSENET_SCHEDULE = ((1, 0.1), (150, 0.01), (225, 0.001))
@@ -45,46 +46,34 @@ class TrainConfig:
     lr_schedule: Tuple[Tuple[int, float], ...] = ((1, 0.1),)
     seed: int = 0
     augment: bool = False
-    eval_every: int = 1
-    decay_bn: bool = True
 
     def validate(self) -> None:
         if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not self.lr_schedule:
-            raise ValueError("lr_schedule must hold at least one (epoch, lr) pair")
+            raise ConfigError("lr_schedule must hold at least one (epoch, lr) pair")
         prev = 0
         for epoch, lr in self.lr_schedule:
             if epoch <= prev:
-                raise ValueError("lr_schedule epochs must be strictly increasing from 1")
+                raise ConfigError("lr_schedule epochs must be strictly increasing from 1")
             if lr <= 0:
-                raise ValueError(f"learning rates must be positive, got {lr}")
+                raise ConfigError(f"learning rates must be positive, got {lr}")
             prev = epoch
         if self.lr_schedule[0][0] != 1:
-            raise ValueError("lr_schedule must start at epoch 1")
-        if self.eval_every < 1:
-            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
+            raise ConfigError("lr_schedule must start at epoch 1")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
-    @staticmethod
-    def from_dict(cfg: dict) -> "TrainConfig":
-        known = {f.name for f in TrainConfig.__dataclass_fields__.values()}
-        unknown = set(cfg) - known
-        if unknown:
-            raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-        if "lr_schedule" in cfg:
-            cfg = dict(cfg)
-            cfg["lr_schedule"] = tuple((int(e), float(lr)) for e, lr in cfg["lr_schedule"])
-        tc = TrainConfig(**cfg)
-        tc.validate()
-        return tc
+    @classmethod
+    def from_dict(cls, cfg: dict) -> "TrainConfig":
+        """Read and validate a config's JSON form; any fault raises ConfigError."""
+        return read_config(cls, cfg, "train")
 
 
 @dataclass
@@ -255,12 +244,11 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
                         raise DivergenceError(epoch, batch_index, value)
                     grads = tape.backward(loss)
                 sgd_momentum_step(model.store, grads, velocity, lr,
-                                  config.momentum, config.weight_decay, config.decay_bn)
+                                  config.momentum, config.weight_decay)
                 loss_sum += value * len(batch)
                 wrong += int((logits.data.argmax(axis=1) != labels).sum())
             test_error = None
-            if eval_ds is not None and (epoch % config.eval_every == 0
-                                        or epoch == config.epochs):
+            if eval_ds is not None:
                 test_error = evaluate(model, eval_ds)[0]
             record = MetricsRecord(epoch, lr, loss_sum / n, 100.0 * wrong / n,
                                    test_error, time.perf_counter() - start)

@@ -81,6 +81,11 @@ class TestConvBackbone:
         stem, first = units_of(spec)[:2]
         assert stem.sites[0].out_channels == first.sites[0].in_channels == 5
 
+    def test_config_takes_one_conv_count_and_a_default_stem(self):
+        spec = backbone_from_config({"family": "conv", "block_widths": [8, 12],
+                                     "convs_per_block": 2, "class_count": 3})
+        assert spec == build_conv_backbone(8, (8, 12), (2, 2), class_count=3)
+
     def test_zero_conv_block_cannot_change_width(self):
         with pytest.raises(ConfigError, match="cannot change width"):
             build_conv_backbone(8, (8, 16), convs_per_block=(1, 0), class_count=3)

@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from wsmsnet.cli import main
 from wsmsnet.model import build_model, save_checkpoint
@@ -202,9 +205,20 @@ class TestTrainEvalPipeline:
         config = tiny_synth_config(tmp_path, epochs=0)
         run_dir = tmp_path / "locked"
         run_dir.mkdir()
-        (run_dir / "run.lock").write_text("1234")
+        (run_dir / "run.lock").write_text(str(os.getpid()))
         assert main(["train", config, "--out", str(run_dir)]) == 2
         assert "locked" in capsys.readouterr().err
+
+    def test_lock_of_a_finished_process_is_replaced(self, tmp_path, capsys):
+        config = tiny_synth_config(tmp_path, epochs=0)
+        run_dir = tmp_path / "stale"
+        run_dir.mkdir()
+        finished = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                                  capture_output=True, text=True, check=True)
+        (run_dir / "run.lock").write_text(finished.stdout.strip())
+        assert main(["train", config, "--out", str(run_dir)]) == 0
+        assert (run_dir / "checkpoint-final.npz").exists()
+        assert not (run_dir / "run.lock").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_3(self, tmp_path, capsys):
@@ -221,7 +235,7 @@ class TestTrainEvalPipeline:
         ({"noise": -1.0}, [], "noise must be >= 0"),
         ({"train_scales": [0.6]}, [], "train_scales must be like (0.6, 1.0), got (0.6,)"),
         ({"class_count": "5"}, [], "class_count must be like 5, got '5'"),
-        ({"colour": True}, [], "unexpected keyword argument 'colour'"),
+        ({"colour": True}, [], "unknown synth config keys: ['colour']"),
         ({}, ["--epochs", "-1"], "epochs must be >= 0"),
         ({}, ["--seed", "-3"], "seed must be >= 0"),
     ], ids=["negative-noise", "one-scale", "string-class_count", "unknown-key",
@@ -247,12 +261,96 @@ class TestTrainEvalPipeline:
         assert main(["eval", str(checkpoint), path]) == 2
         assert capsys.readouterr().err.startswith("error: config data section must be an object")
 
+    def test_cifar_data_needs_a_root(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("WSMSNET_DATA", raising=False)
+        run_dir = tmp_path / "run"
+        assert main(["train", str(PRESETS / "cifar-smoke.json"), "--out", str(run_dir)]) == 2
+        assert "dataset root not found" in capsys.readouterr().err
+        assert not run_dir.exists()
+
     def test_bad_train_key_exits_2(self, tmp_path, capsys):
         body = json.loads(Path(tiny_synth_config(tmp_path)).read_text())
         body["train"]["warmup"] = 1
         path = write_config(tmp_path, body, "bad.json")
         assert main(["train", path, "--out", str(tmp_path / "x")]) == 2
         assert "unknown train config keys" in capsys.readouterr().err
+
+
+# Valid presets whose sections a broken field is drawn from: a resnet on synth
+# data, a resnet on cifar data with limits, and a densenet.
+BROKEN_BASES = ("synth-wsms-tiny", "cifar-smoke", "densenet24")
+SECTIONS = ("model", "backbone", "train", "data")
+REQUIRED = {"model": {"backbone"}, "train": {"epochs"}, "data": {"kind"},
+            "backbone": {"family", "class_count", "n", "growth"}}
+# JSON values of another kind than the one a field holds; an int also fills a
+# number field, so it is no wrong kind there
+WRONG_KINDS = {
+    int: ["5", 1.5, True, None, [1], {}],
+    float: ["0.5", False, None, [0.5], {}],
+    bool: ["no", 1, 0.0, None, [True], {}],
+    str: [1, 0.5, False, None, ["held"], {}],
+    list: ["8", 8, 0.5, True, None, {}],
+    dict: ["x", 1, [], None],
+}
+DELETE = object()
+
+
+def section_of(body, section):
+    return body["model"]["backbone"] if section == "backbone" else body[section]
+
+
+def load_preset(name):
+    return json.loads((PRESETS / f"{name}.json").read_text())
+
+
+@st.composite
+def broken_fields(draw):
+    """(preset, section, key, value): one field of one section of a valid
+    preset broken by an unknown key, a deleted required field, or a value of
+    the wrong kind."""
+    preset = draw(st.sampled_from(BROKEN_BASES))
+    section = draw(st.sampled_from(SECTIONS))
+    fields = section_of(load_preset(preset), section)
+    how = draw(st.sampled_from(("unknown", "missing", "wrong")))
+    if how == "unknown":
+        return preset, section, draw(st.from_regex(r"x_[a-z]{1,6}", fullmatch=True)), 1
+    if how == "missing":
+        required = sorted(REQUIRED[section] & set(fields))
+        return preset, section, draw(st.sampled_from(required)), DELETE
+    key = draw(st.sampled_from(sorted(fields)))
+    return preset, section, key, draw(st.sampled_from(WRONG_KINDS[type(fields[key])]))
+
+
+class TestMalformedConfig:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(broken_fields())
+    @example(("synth-wsms-tiny", "train", "epochs", 1.5))
+    @example(("synth-wsms-tiny", "train", "batch_size", 64.0))
+    @example(("synth-wsms-tiny", "train", "augment", "no"))
+    @example(("synth-wsms-tiny", "train", "lr_schedule", [[1.7, 0.1]]))
+    @example(("synth-wsms-tiny", "train", "epoch", 3))
+    @example(("synth-wsms-tiny", "data", "noise", -1))
+    @example(("synth-wsms-tiny", "data", "nosie", 0.1))
+    @example(("synth-wsms-tiny", "model", "stgaes", 2))
+    @example(("synth-wsms-tiny", "backbone", "chanels", [8, 16]))
+    @example(("densenet24", "backbone", "growht", 12))
+    @example(("cifar-smoke", "data", "train_limit", "5"))
+    @example(("cifar-smoke", "data", "train_limt", 5))
+    def test_train_exits_2_before_making_the_run_directory(self, capsys, case):
+        preset, section, key, value = case
+        body = load_preset(preset)
+        if value is DELETE:
+            del section_of(body, section)[key]
+        else:
+            section_of(body, section)[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            run_dir = Path(tmp) / "run"
+            config = write_config(Path(tmp), body)
+            assert main(["train", config, "--out", str(run_dir), "--data", tmp]) == 2
+            assert not run_dir.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
 
 
 class TestConsoleEntryPoint:
