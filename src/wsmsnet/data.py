@@ -87,19 +87,11 @@ def encode_cifar(images: np.ndarray, labels: np.ndarray, variant: str = "cifar10
 
 
 def load_cifar(path, variant: str = "cifar10") -> Dataset:
-    """Load one binary batch file (or every standard batch in a directory).
+    """Load one binary batch file.
 
     Pixels are scaled to [0, 1]; ids number the examples in file order.
     """
-    path = Path(path)
-    if path.is_dir():
-        names = sorted(p.name for p in path.glob("*.bin"))
-        if not names:
-            raise DataFormatError(f"no .bin files under {path}")
-        buf = b"".join((path / name).read_bytes() for name in names)
-    else:
-        buf = path.read_bytes()
-    images, labels = decode_cifar(buf, variant)
+    images, labels = decode_cifar(Path(path).read_bytes(), variant)
     return Dataset(images.astype(np.float32) / 255.0, labels,
                    np.arange(len(labels), dtype=np.int64), LABEL_RANGE[variant])
 

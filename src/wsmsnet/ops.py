@@ -72,17 +72,14 @@ def _tap_range(offset: int, padding: int, stride: int, out: int, size: int):
     return slice(start, start + stride * count, stride), slice(first, first + count)
 
 
-def _from_columns(dcols: np.ndarray, dx: np.ndarray, kh: int, kw: int, stride: int,
-                  padding: int, oh: int, ow: int) -> None:
+def _from_columns(dcols: np.ndarray, dx: np.ndarray, row_taps, col_taps,
+                  oh: int, ow: int) -> None:
     """col2im of one block: sum ``dcols`` (b, C*kh*kw, OH*OW) into zeroed ``dx``
-    (b, C, H, W), tap by tap; the parts of each tap that fall on padding are
-    dropped."""
-    b, c, h, w = dx.shape
-    d6 = dcols.reshape(b, c, kh, kw, oh, ow)
-    for i in range(kh):
-        rows, orows = _tap_range(i, padding, stride, oh, h)
-        for j in range(kw):
-            cols, ocols = _tap_range(j, padding, stride, ow, w)
+    (b, C, H, W), tap by tap; ``row_taps`` and ``col_taps`` hold each tap's
+    ``_tap_range``, so the parts of each tap that fall on padding are dropped."""
+    d6 = dcols.reshape(*dx.shape[:2], len(row_taps), len(col_taps), oh, ow)
+    for i, (rows, orows) in enumerate(row_taps):
+        for j, (cols, ocols) in enumerate(col_taps):
             dx[:, :, rows, cols] += d6[:, :, i, j, orows, ocols]
 
 
@@ -132,6 +129,8 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
             if x.requires_grad:
                 dx = np.zeros((n, cin, h, w), dtype=np.result_type(w2, g2))
                 dcols = np.empty((block, k, p), dtype=dx.dtype)
+                taps = ([_tap_range(i, padding, stride, oh, h) for i in range(kh)],
+                        [_tap_range(j, padding, stride, ow, w) for j in range(kw)])
             for s, cb in _lowered(x.data, block, kh, kw, stride, padding, oh, ow):
                 gb = g2[s:s + block]
                 m = len(gb)
@@ -141,7 +140,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
                 if dx is None:
                     continue
                 np.matmul(w2.T, gb, out=dcols[:m])
-                _from_columns(dcols[:m], dx[s:s + m], kh, kw, stride, padding, oh, ow)
+                _from_columns(dcols[:m], dx[s:s + m], *taps, oh, ow)
             return dx, dw.reshape(weight.shape)
         push((x, weight), out, bwd)
     return out
@@ -316,6 +315,17 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
     Train mode normalizes with biased batch statistics and folds them into the
     running buffers in place; eval mode applies the running statistics.
+
+    Every element sees these operations in this association order, with
+    ``xhat = (x - mean) * inv``, ``coeff = gamma * inv`` and ``m = N*H*W``::
+
+        var = mean((x - mean)**2)  (train)     inv = 1 / sqrt(var + eps)
+        out = gamma * xhat + beta
+        dx  = coeff * ((g - dbeta/m) - (xhat*dgamma)/m)  (train), g * coeff  (eval)
+
+    The passes run in place on one centered buffer, exact while no operand
+    has a wider dtype than x, and never write ``x.data`` or ``g`` (``add``'s
+    backward hands one ``g`` to two inputs).
     """
     _require_4d(x, "batch_norm")
     n, c, h, w = x.shape
@@ -325,41 +335,37 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             f"{gamma.shape[0]} and {beta.shape[0]}")
     if running_mean.shape != (c,) or running_var.shape != (c,):
         raise ValueError(f"batch_norm: running buffers do not match {c} channels")
+    # eval mode copies the running mean: backward normalizes with it again,
+    # after later training-mode calls may have moved the running buffers
+    mean = x.data.mean(axis=(0, 2, 3)) if training else running_mean.copy()
+    out_data = x.data - mean[None, :, None, None]
+    var = np.square(out_data).mean(axis=(0, 2, 3)) if training else running_var
     if training:
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
-        running_mean *= (1.0 - momentum)
-        running_mean += momentum * mean
-        running_var *= (1.0 - momentum)
-        running_var += momentum * var
-    else:
-        # a copy: backward normalizes with it again, after later training-mode
-        # calls may have moved the running buffers
-        mean = running_mean.copy()
-        var = running_var
+        for running, batch in ((running_mean, mean), (running_var, var)):
+            running *= (1.0 - momentum)
+            running += momentum * batch
     inv = 1.0 / np.sqrt(var + eps)
-
-    def normalized():
-        return (x.data - mean[None, :, None, None]) * inv[None, :, None, None]
-
-    out = _wrap(gamma.data[None, :, None, None] * normalized() + beta.data[None, :, None, None])
+    out_data *= inv[None, :, None, None]
+    out_data *= gamma.data[None, :, None, None]
+    out_data += beta.data[None, :, None, None]
+    out = _wrap(out_data)
     if recording(x, gamma, beta):
-        if training:
-            def bwd(g):
-                m = n * h * w
-                xhat = normalized()
-                dbeta = g.sum(axis=(0, 2, 3))
-                dgamma = (g * xhat).sum(axis=(0, 2, 3))
-                coeff = (gamma.data * inv)[None, :, None, None]
-                dx = coeff * (g - dbeta[None, :, None, None] / m
-                              - xhat * dgamma[None, :, None, None] / m)
-                return dx, dgamma, dbeta
-        else:
-            def bwd(g):
-                dbeta = g.sum(axis=(0, 2, 3))
-                dgamma = (g * normalized()).sum(axis=(0, 2, 3))
-                dx = g * (gamma.data * inv)[None, :, None, None]
-                return dx, dgamma, dbeta
+        def bwd(g):
+            xhat = x.data - mean[None, :, None, None]
+            xhat *= inv[None, :, None, None]
+            dbeta = g.sum(axis=(0, 2, 3))
+            dx = g * xhat
+            dgamma = dx.sum(axis=(0, 2, 3))
+            coeff = (gamma.data * inv)[None, :, None, None]
+            if not training:
+                return np.multiply(g, coeff, out=dx), dgamma, dbeta
+            m = n * h * w
+            np.subtract(g, dbeta[None, :, None, None] / m, out=dx)
+            xhat *= dgamma[None, :, None, None]
+            xhat /= m
+            dx -= xhat
+            dx *= coeff
+            return dx, dgamma, dbeta
         push((x, gamma, beta), out, bwd)
     return out
 

@@ -108,24 +108,26 @@ def lr_at(schedule: Sequence[Tuple[int, float]], epoch: int) -> float:
 
 
 def sgd_momentum_step(params: ParamStore, grads: dict, velocity: Dict[int, np.ndarray],
-                      lr: float, momentum: float, weight_decay: float,
-                      decay_bn: bool = True) -> None:
+                      lr: float, momentum: float, weight_decay: float) -> None:
     """v <- momentum*v + grad + wd*param; param <- param - lr*v.
 
     Every store entry must have a gradient; a shared parameter therefore
-    receives exactly one update per step. ``velocity`` is keyed by ParamId
-    and owned by the caller.
+    receives exactly one update per step. ``velocity`` is keyed by ParamId,
+    owned by the caller and updated in place; it aliases no gradient.
     """
     for entry in params.entries():
         grad = grads.get(entry.tensor)
         if grad is None:
             raise RuntimeError(f"missing gradient for parameter {entry.name!r} "
                                f"(ParamId {entry.pid})")
-        wd = weight_decay if (decay_bn or entry.role != "bn") else 0.0
-        step = grad + wd * entry.tensor.data if wd else grad
+        step = grad + weight_decay * entry.tensor.data if weight_decay else grad
         v = velocity.get(entry.pid)
-        velocity[entry.pid] = step if v is None else momentum * v + step
-        entry.tensor.data -= lr * velocity[entry.pid]
+        if v is None:
+            v = velocity[entry.pid] = step.copy()
+        else:
+            v *= momentum
+            v += step
+        entry.tensor.data -= lr * v
 
 
 def _iter_batches(n: int, batch_size: int, order: np.ndarray) -> Iterable[np.ndarray]:

@@ -58,15 +58,6 @@ class TestBinaryCodec:
         np.testing.assert_allclose(ds.images, images.astype(np.float32) / 255.0)
         np.testing.assert_array_equal(ds.ids, np.arange(3))
 
-    def test_load_directory_concatenates_sorted_files(self, tmp_path):
-        a_images, a_labels = random_records(n=2, seed=2)
-        b_images, b_labels = random_records(n=3, seed=3)
-        (tmp_path / "part_2.bin").write_bytes(encode_cifar(b_images, b_labels))
-        (tmp_path / "part_1.bin").write_bytes(encode_cifar(a_images, a_labels))
-        ds = load_cifar(tmp_path)
-        assert len(ds) == 5
-        np.testing.assert_array_equal(ds.labels[:2], a_labels)
-
 
 class TestNormalization:
     def test_train_statistics_become_standard(self):

@@ -421,6 +421,43 @@ class TestElementwise:
                                  Tensor(np.zeros((1, 2, 2, 2)))])
 
 
+def reference_batch_norm(x, gamma, beta, running_mean, running_var, training, g,
+                         momentum=0.1, eps=1e-5):
+    """batch_norm with one temporary per operation, as it computed before its
+    passes ran in place. Moves the running buffers in train mode, as
+    batch_norm does, and returns (out, dx, dgamma, dbeta) for gradient g."""
+    n, c, h, w = x.shape
+    if training:
+        mean = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        running_mean *= (1.0 - momentum)
+        running_mean += momentum * mean
+        running_var *= (1.0 - momentum)
+        running_var += momentum * var
+    else:
+        mean, var = running_mean.copy(), running_var
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    dbeta = g.sum(axis=(0, 2, 3))
+    dgamma = (g * xhat).sum(axis=(0, 2, 3))
+    coeff = (gamma * inv)[None, :, None, None]
+    if training:
+        m = n * h * w
+        dx = coeff * (g - dbeta[None, :, None, None] / m
+                      - xhat * dgamma[None, :, None, None] / m)
+    else:
+        dx = g * coeff
+    return out, dx, dgamma, dbeta
+
+
+def signed_zeros(rng, shape, dtype, keep=0.7):
+    """Normal draws with about 1 - ``keep`` of the entries +0.0 or -0.0."""
+    arr = rng.standard_normal(shape) * (rng.random(shape) < keep)
+    arr[(arr == 0) & (rng.random(shape) < 0.5)] = -0.0
+    return arr.astype(dtype)
+
+
 class TestBatchNormOp:
     def test_eval_gradient_ignores_later_running_buffer_updates(self):
         rng = np.random.default_rng(4)
@@ -446,6 +483,75 @@ class TestBatchNormOp:
         grads = tape.backward(loss)
         for t in (x, gamma, beta):
             assert_same_bits(grads[t], expected[t])
+
+
+class TestBatchNormBits:
+    """In-place batch norm must reproduce the one-temporary-per-operation
+    formulas bit for bit."""
+
+    @pytest.mark.parametrize("training,dtype,shape", list(itertools.product(
+        (True, False), (np.float32, np.float64), ((5, 3, 7, 7), (8, 4, 4, 4), (2, 6, 1, 3)))))
+    def test_matches_reference_formulas(self, training, dtype, shape):
+        rng = np.random.default_rng(sum(shape) + 10 * training)
+        c = shape[1]
+        x, g = signed_zeros(rng, shape, dtype), signed_zeros(rng, shape, dtype)
+        gamma, beta = signed_zeros(rng, c, dtype, 0.5), signed_zeros(rng, c, dtype, 0.5)
+        # a zero mean centers x's zeros to zeros of the same sign in eval mode
+        running_mean = signed_zeros(rng, c, dtype, 0.5)
+        running_var = (rng.random(c) + 0.5).astype(dtype)
+        ref_mean, ref_var = running_mean.copy(), running_var.copy()
+        expected = reference_batch_norm(x, gamma, beta, ref_mean, ref_var, training, g)
+        with Tape() as tape:
+            y = ops.batch_norm(*exact(x, gamma, beta, requires_grad=True),
+                               running_mean, running_var, training=training)
+        assert_same_bits(y.data, expected[0])
+        assert_same_bits(running_mean, ref_mean)
+        assert_same_bits(running_var, ref_var)
+        grads = tape.nodes[-1].fn(g)
+        tape.release()
+        assert len(grads) == 3
+        for actual, wanted in zip(grads, expected[1:]):
+            assert_same_bits(actual, wanted)
+
+
+def _batch_norm_call(training):
+    def call(x, rng):
+        c = x.shape[1]
+        gamma, beta = exact(rng.standard_normal(c).astype(x.dtype),
+                            rng.standard_normal(c).astype(x.dtype), requires_grad=True)
+        return ops.batch_norm(x, gamma, beta, np.zeros(c, x.dtype), np.ones(c, x.dtype),
+                              training=training)
+    return call
+
+
+def _conv2d_call(x, rng):
+    w, = exact(rng.standard_normal((4, x.shape[1], 3, 3)).astype(x.dtype), requires_grad=True)
+    return ops.conv2d(x, w, padding=1)
+
+
+class TestOpsLeaveInputsAlone:
+    """An op writes neither its input's data nor the gradient it is handed:
+    add's backward hands one gradient array to two inputs."""
+
+    @pytest.mark.parametrize("name,call", [
+        ("batch_norm-train", _batch_norm_call(True)),
+        ("batch_norm-eval", _batch_norm_call(False)),
+        ("relu", lambda x, rng: ops.relu(x)),
+        ("conv2d", _conv2d_call),
+    ])
+    def test_forward_and_backward_keep_x_and_g(self, name, call):
+        rng = np.random.default_rng(7)
+        x_data = signed_zeros(rng, (3, 4, 6, 6), np.float32)
+        x, = exact(x_data.copy(), requires_grad=True)
+        with Tape() as tape:
+            y = call(x, rng)
+        assert_same_bits(x.data, x_data)
+        g_data = signed_zeros(rng, y.shape, np.float32)
+        g = g_data.copy()
+        tape.nodes[-1].fn(g)
+        tape.release()
+        assert_same_bits(x.data, x_data)
+        assert_same_bits(g, g_data)
 
 
 class TestLinearAndLoss:

@@ -8,6 +8,10 @@ change left every preset's numbers bit for bit as they were.
 For each preset in ``presets/``, at seed 0, on seeded random 32x32 inputs,
 the model trains for 2 SGD steps at batch 2 and its final checkpoint file is
 hashed.
+
+The first line, starting with ``#``, names numpy, OpenBLAS, the GEMM kernel
+set OpenBLAS picked for this CPU and ``OPENBLAS_CORETYPE``. Kernel sets round
+differently, so only listings with equal kernel sets are comparable.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import ctypes
+import ctypes.util
 import dataclasses
 import hashlib
 import json
@@ -54,7 +60,42 @@ def preset_digest(path: Path) -> str:
         return hashlib.sha256((Path(tmp) / "checkpoint-final.npz").read_bytes()).hexdigest()
 
 
+def openblas_corename() -> str:
+    """The kernel set of the OpenBLAS that numpy loaded, or ``unknown``.
+
+    Wheels bundle OpenBLAS in ``numpy.libs``; loading it again returns the
+    library numpy already uses, not a second copy.
+    """
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*"))
+    system = ctypes.util.find_library("openblas")
+    if system:
+        libs.append(system)
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(handle, symbol, None)
+            if corename is not None:
+                corename.argtypes = []
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
+def header() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("version")
+    except (TypeError, KeyError):
+        blas = None
+    return (f"# numpy {np.__version__} openblas {blas or 'unknown'} "
+            f"core {openblas_corename()} "
+            f"OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE', 'unset')}")
+
+
 def main() -> None:
+    print(header(), flush=True)
     for path in sorted(PRESETS.glob("*.json")):
         print(f"{path.stem:24s} {preset_digest(path)}", flush=True)
 
