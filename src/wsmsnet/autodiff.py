@@ -20,34 +20,22 @@ GradMap = Dict["Tensor", np.ndarray]
 _Source = Union["_Node", "Tensor", None]
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
-_PRECISION = "f32"
-
-
-def set_precision(name: str) -> None:
-    """Select the scalar type newly created tensors use: "f32" or "f64"."""
-    global _PRECISION
-    if name not in _DTYPES:
-        raise ValueError(f"unknown precision {name!r}; expected one of {sorted(_DTYPES)}")
-    _PRECISION = name
-
-
-def precision() -> str:
-    return _PRECISION
+_dtype = np.dtype(np.float32)
 
 
 def default_dtype() -> np.dtype:
-    return np.dtype(_DTYPES[_PRECISION])
+    return _dtype
 
 
 @contextlib.contextmanager
 def using_precision(name: str):
-    """Temporarily switch engine precision (the gradcheck suites run under f64)."""
-    previous = _PRECISION
-    set_precision(name)
+    """Temporarily create tensors as "f32" or "f64" (the gradcheck suites run under f64)."""
+    global _dtype
+    previous, _dtype = _dtype, np.dtype(_DTYPES[name])
     try:
         yield
     finally:
-        set_precision(previous)
+        _dtype = previous
 
 
 class Tensor:
@@ -159,19 +147,18 @@ class Tape:
         self.nodes.clear()
         self._spent = True
 
-    def backward(self, loss: Tensor, retain: bool = False) -> GradMap:
+    def backward(self, loss: Tensor) -> GradMap:
         """Gradients of ``loss`` with respect to the tape's tracked leaves.
 
         The map holds d(loss)/d(tensor) for every reachable tracked tensor
         that no node on the tape produced (parameters and inputs). Inside,
         gradients are keyed by producer node, so an op output needs no
         reference from the tape; a node's gradient is dropped as soon as it
-        has been passed on to the node's inputs. Without ``retain`` the tape
-        is consumed: each node's closure and inputs are freed once its
-        backward has run, so activations, closures and gradients go as soon
-        as backward is past them, and the tape ends released even when a
-        backward closure raises. With ``retain=True`` the nodes are kept, so
-        backward can run again from a different scalar.
+        has been passed on to the node's inputs. The tape is consumed: each
+        node's closure and inputs are freed once its backward has run, so
+        activations, closures and gradients go as soon as backward is past
+        them, each closure runs at most once, and the tape ends released even
+        when a backward closure raises.
         """
         if self._spent:
             raise RuntimeError("tape has been released; record a new graph")
@@ -179,15 +166,13 @@ class Tape:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
         if loss._node is None or loss._node.tape is not self:
             raise RuntimeError("loss was not produced on this tape")
-        nodes = list(self.nodes) if retain else self.nodes
         grads: Dict[Union[_Node, Tensor], np.ndarray] = {loss._node: np.ones_like(loss.data)}
         try:
-            while nodes:
-                node = nodes.pop()
+            while self.nodes:
+                node = self.nodes.pop()
                 gout = grads.pop(node, None)
                 fn, inputs = node.fn, node.inputs
-                if not retain:
-                    node.free()
+                node.free()
                 if gout is None:
                     continue
                 gins = fn(gout)
@@ -197,8 +182,7 @@ class Tape:
                     held = grads.get(source)
                     grads[source] = grad if held is None else held + grad
         finally:
-            if not retain:
-                self.release()
+            self.release()
         return grads
 
 

@@ -28,6 +28,16 @@ def _set_threads(count: int) -> None:
         os.environ[var] = str(count)
 
 
+def _parse_threads(text: str) -> int:
+    try:
+        count = int(text)
+        if count < 1:
+            raise ValueError
+        return count
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a thread count >= 1, got {text!r}")
+
+
 def _load_config(path: str) -> dict:
     from .specs import ConfigError
 
@@ -266,12 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wsmsnet",
         description="Weight-shared multi-stage CNNs: cost model, training, benchmarks")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_parse_threads, default=None,
                         help="pin BLAS/OpenMP thread count before numpy loads")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="single-threaded numerics (same as --threads 1)")
-    parser.add_argument("--precision", choices=("f32", "f64"), default="f32",
-                        help="engine precision for newly created tensors")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="static parameter and multiplication report")
@@ -325,17 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.deterministic and args.threads is None:
-        args.threads = 1
     if args.threads is not None:
         _set_threads(args.threads)
 
-    from .autodiff import set_precision
     from .data import DataFormatError
     from .specs import ConfigError
     from .trainer import DivergenceError
 
-    set_precision(args.precision)
     try:
         return args.fn(args)
     except (ConfigError, DataFormatError, FileNotFoundError) as err:

@@ -12,7 +12,7 @@ import json
 import logging
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ LABEL_RANGE = {"cifar10": 10, "cifar100": 100}
 
 
 class DataFormatError(ValueError):
-    """Raised when a dataset file does not match the expected binary layout."""
+    """Raised when a dataset, checkpoint or prediction file breaks its layout."""
 
 
 @dataclass
@@ -67,8 +67,7 @@ def decode_cifar(buf: bytes, variant: str = "cifar10") -> Tuple[np.ndarray, np.n
     return np.ascontiguousarray(images), labels
 
 
-def encode_cifar(images: np.ndarray, labels: np.ndarray, variant: str = "cifar10",
-                 coarse: Optional[np.ndarray] = None) -> bytes:
+def encode_cifar(images: np.ndarray, labels: np.ndarray, variant: str = "cifar10") -> bytes:
     """Pack uint8 images and labels back into the binary record layout."""
     _check_variant(variant)
     if images.dtype != np.uint8:
@@ -77,7 +76,7 @@ def encode_cifar(images: np.ndarray, labels: np.ndarray, variant: str = "cifar10
     record = RECORD_BYTES[variant]
     out = np.empty((n, record), dtype=np.uint8)
     if variant == "cifar100":
-        out[:, 0] = np.zeros(n, dtype=np.uint8) if coarse is None else coarse
+        out[:, 0] = 0  # superclass label
         out[:, 1] = labels
         out[:, 2:] = images.reshape(n, -1)
     else:

@@ -284,6 +284,8 @@ def run_suite(seed: int = 0, corrupt: Optional[str] = None) -> Dict[str, float]:
     case's analytic gradient by 1.01 so the comparison machinery itself can
     be shown to catch a broken backward rule.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     cases = _suite_cases(seed)
     for g in range(3):
         cases[f"random-graph-{g}"] = lambda g=g: random_graph_case(seed + 20 + g)

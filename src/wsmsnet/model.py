@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .autodiff import Tensor
+from .data import DataFormatError
 from .layers import BatchNorm, Conv2dLayer, LinearLayer, ParamStore
 # scale stays bound, unused, because perfbench/tracing.py wraps it here by name
 from .ops import (add, avg_pool_half, concat_channels, global_avg_pool, pad_channels,  # noqa: F401
@@ -221,25 +223,32 @@ def save_checkpoint(model: Model, path, extras: Optional[dict] = None) -> None:
 
 
 def load_checkpoint(path):
-    """Rebuild the model a checkpoint came from. Returns (model, extras)."""
-    with np.load(path) as z:
-        meta = json.loads(z["meta"].tobytes().decode())
+    """Rebuild the model a checkpoint came from. Returns (model, extras).
+
+    Any file that is not a checkpoint of this format raises DataFormatError.
+    """
+    with open(path, "rb") as f:
+        try:
+            z = np.load(f)
+            meta = json.loads(z["meta"].tobytes().decode())
+        except (ValueError, LookupError, EOFError, zipfile.BadZipFile):
+            raise DataFormatError(f"{path} is not a wsmsnet checkpoint") from None
         if meta.get("format_version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint format version "
-                             f"{meta.get('format_version')!r}")
+            raise DataFormatError(f"unsupported checkpoint format version "
+                                  f"{meta.get('format_version')!r}")
         spec = model_from_config(meta["model"])
         model = build_model(spec, seed=0)
         entries = list(model.store.entries())
         if len(entries) != len(meta["params"]):
-            raise ValueError("checkpoint parameter list does not match the rebuilt model")
+            raise DataFormatError("checkpoint parameter list does not match the rebuilt model")
         for e, rec in zip(entries, meta["params"]):
             if e.name != rec["name"] or e.role != rec["role"] or list(e.tensor.shape) != rec["shape"]:
-                raise ValueError(f"checkpoint entry {rec['name']!r} does not match "
-                                 f"rebuilt parameter {e.name!r}")
+                raise DataFormatError(f"checkpoint entry {rec['name']!r} does not match "
+                                      f"rebuilt parameter {e.name!r}")
             e.tensor.data = np.ascontiguousarray(z[f"param_{e.pid}"])
         norms = model.batch_norms()
         if [bn.name for bn in norms] != meta["bn_buffers"]:
-            raise ValueError("checkpoint batch norm buffers do not match the rebuilt model")
+            raise DataFormatError("checkpoint batch norm buffers do not match the rebuilt model")
         for i, bn in enumerate(norms):
             bn.running_mean = np.ascontiguousarray(z[f"bn_{i}_mean"])
             bn.running_var = np.ascontiguousarray(z[f"bn_{i}_var"])

@@ -18,14 +18,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .autodiff import Tape, Tensor
-from .data import Dataset, augment
+from .data import DataFormatError, Dataset, augment
 from .layers import ParamStore
 from .model import Model, save_checkpoint
 from .ops import softmax_cross_entropy
 from .specs import ConfigError, read_config
-
-RESNET_SCHEDULE = ((1, 0.01), (2, 0.1), (82, 0.01), (123, 0.001))
-DENSENET_SCHEDULE = ((1, 0.1), (150, 0.01), (225, 0.001))
 
 
 class DivergenceError(RuntimeError):
@@ -167,9 +164,9 @@ def write_pred_dump(path, rows) -> None:
 def read_pred_dump(path) -> List[Tuple[int, int, int, int]]:
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["id", "true", "pred", "correct"]:
-            raise ValueError(f"{path}: unexpected prediction dump header {header}")
+            raise DataFormatError(f"{path}: unexpected prediction dump header {header}")
         return [(int(a), int(b), int(c), int(d)) for a, b, c, d in reader]
 
 

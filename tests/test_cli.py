@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,9 @@ from wsmsnet.specs import model_from_config
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ROOT / "presets"
+TINY_PRESET = str(PRESETS / "synth-wsms-tiny.json")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def write_config(tmp_path, body, name="config.json"):
@@ -149,6 +154,23 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--corrupt", "nope"]) == 2
         assert "unknown gradcheck case 'nope'" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize("count", ("0", "-1"))
+    def test_count_below_one_exits_2_before_setting_anything(self, monkeypatch, capsys,
+                                                             count):
+        for var in THREAD_VARS:
+            monkeypatch.setenv(var, "untouched")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--threads", count, "count", TINY_PRESET])
+        assert exit_info.value.code == 2
+        assert "thread count >= 1" in capsys.readouterr().err
+        assert all(os.environ[var] == "untouched" for var in THREAD_VARS)
+
 
 class TestSynthDataCommand:
     def test_writes_splits_and_manifest(self, tmp_path, capsys):
@@ -163,6 +185,31 @@ class TestSynthDataCommand:
     def test_bad_value_exits_2(self, tmp_path, capsys):
         assert main(["synth-data", "--out", str(tmp_path / "bench"), "--noise", "-1"]) == 2
         assert "noise must be >= 0" in capsys.readouterr().err
+
+
+def npz_bytes(**arrays) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize("name,content,expected", [
+        ("bad.npz", b"not a checkpoint\n", "is not a wsmsnet checkpoint"),
+        ("old.npz", npz_bytes(meta=np.frombuffer(b'{"format_version": 99}', dtype=np.uint8)),
+         "unsupported checkpoint format version 99"),
+        ("preds.csv", b"who,what\n1,2\n", "unexpected prediction dump header"),
+    ], ids=["not-a-checkpoint", "other-format-version", "dump-header"])
+    def test_exits_2(self, tmp_path, capsys, name, content, expected):
+        path = tmp_path / name
+        path.write_bytes(content)
+        if name.endswith(".npz"):
+            argv = ["eval", str(path), TINY_PRESET]
+        else:
+            argv = ["compare-preds", "--baselines", str(path), "--target", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and expected in err
 
 
 class TestTrainEvalPipeline:
@@ -353,14 +400,23 @@ class TestMalformedConfig:
         assert err.startswith("error:") and key in err
 
 
+def run_python(*args):
+    # pytest's pythonpath setting reaches only its own process, not a child
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env=env)
+
+
 class TestConsoleEntryPoint:
     def test_module_invocation_works(self):
-        # pytest's pythonpath setting reaches only its own process, not a child
-        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        result = subprocess.run(
-            [sys.executable, "-m", "wsmsnet.cli", "--threads", "1", "count",
-             str(PRESETS / "synth-wsms-tiny.json")],
-            capture_output=True, text=True, timeout=120, env=env)
+        result = run_python("-m", "wsmsnet.cli", "--threads", "1", "count", TINY_PRESET)
         assert result.returncode == 0
         assert "params_exact=5485" in result.stdout
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # --threads sets the BLAS thread variables before numpy loads, which
+        # holds only while importing the CLI imports no numpy
+        result = run_python("-c", "import sys, wsmsnet.cli; "
+                                  "assert 'numpy' not in sys.modules")
+        assert result.returncode == 0, result.stderr

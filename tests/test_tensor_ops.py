@@ -64,14 +64,6 @@ class TestTapeLifecycle:
         with pytest.raises(RuntimeError, match="released"):
             tape.backward(loss)
 
-    def test_retain_allows_second_backward(self):
-        x = tracked(np.arange(3.0))
-        with Tape() as tape:
-            loss = ops.sum_all(ops.mul(x, x))
-        g1 = tape.backward(loss, retain=True)
-        g2 = tape.backward(loss)
-        np.testing.assert_array_equal(g1[x], g2[x])
-
     def test_raising_closure_still_releases_tape(self):
         x = tracked(np.ones(3))
         with Tape() as tape:
@@ -86,8 +78,7 @@ class TestTapeLifecycle:
         with pytest.raises(RuntimeError, match="released"):
             tape.backward(loss)
 
-    @pytest.mark.parametrize("retain", (False, True))
-    def test_backward_frees_each_node_once_it_has_run(self, retain):
+    def test_backward_frees_each_node_once_it_has_run(self):
         x = tracked(np.ones((2, 3)))
         with Tape() as tape:
             loss = ops.sum_all(ops.relu(ops.scale(x, 2.0)))
@@ -97,11 +88,10 @@ class TestTapeLifecycle:
             seen.append(len(tape.nodes))
             return first(g)
         tape.nodes[0].fn = spy
-        tape.backward(loss, retain=retain)
-        assert seen == [3 if retain else 0]
+        tape.backward(loss)
+        assert seen == [0]
 
-    @pytest.mark.parametrize("retain", (False, True))
-    def test_map_holds_exactly_the_tracked_leaves(self, retain):
+    def test_map_holds_exactly_the_tracked_leaves(self):
         rng = np.random.default_rng(2)
         x = tracked(rng.standard_normal((2, 3, 4, 4)))
         w = tracked(rng.standard_normal((3, 3, 3, 3)))
@@ -110,9 +100,9 @@ class TestTapeLifecycle:
             y = ops.conv2d(x, w, padding=1)
             z = ops.relu(ops.add(y, fixed))
             loss = ops.sum_all(ops.mul(z, y))
-        grads = tape.backward(loss, retain=retain)
+        grads = tape.backward(loss)
         assert {id(t) for t in grads} == {id(x), id(w)}
-        assert len(tape.nodes) == (5 if retain else 0)
+        assert tape.nodes == []
 
     def test_shared_tensor_grads_sum_across_sites(self):
         x = tracked(np.array([1.0, 2.0]))
@@ -155,8 +145,7 @@ class TestTapeLiveness:
                          "relu": [True, True]}
         assert x in tape.backward(loss)
 
-    @pytest.mark.parametrize("spend", ("backward", "retain-then-release"))
-    def test_spent_tape_frees_activations_while_logits_live(self, spend):
+    def test_spent_tape_frees_activations_while_logits_live(self):
         rng = np.random.default_rng(1)
         x = tracked(rng.standard_normal((2, 3, 6, 6)))
         w1 = tracked(rng.standard_normal((4, 3, 3, 3)))
@@ -168,30 +157,9 @@ class TestTapeLiveness:
         conv_input = weakref.ref(h.data)
         del h
         assert conv_input() is not None
-        if spend == "backward":
-            tape.backward(loss)
-        else:
-            tape.backward(loss, retain=True)
-            assert conv_input() is not None
-            tape.release()
+        tape.backward(loss)
         assert conv_input() is None
         assert logits.shape == (2, 5) and loss.item() > 0
-
-    def test_retained_backward_repeats_bit_for_bit(self):
-        rng = np.random.default_rng(2)
-        x = tracked(rng.standard_normal((2, 3, 6, 6)))
-        w = tracked(rng.standard_normal((3, 3, 3, 3)))
-        gamma, beta = tracked(np.ones(3)), tracked(np.zeros(3))
-        with Tape() as tape:
-            y = ops.batch_norm(ops.conv2d(x, w, padding=1), gamma, beta,
-                               np.zeros(3), np.ones(3), training=True)
-            y = ops.relu(ops.add(ops.conv2d(ops.relu(y), w, padding=1), x))
-            loss = ops.sum_all(ops.mul(y, y))
-        first = tape.backward(loss, retain=True)
-        second = tape.backward(loss, retain=True)
-        assert [id(t) for t in first] == [id(t) for t in second]
-        for t in (x, w, gamma, beta):
-            assert_same_bits(second[t], first[t])
 
 
 class TestConv2d:

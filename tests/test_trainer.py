@@ -6,10 +6,9 @@ import pytest
 from wsmsnet.autodiff import Tensor
 from wsmsnet.layers import ParamStore
 from wsmsnet.model import build_model, load_checkpoint, save_checkpoint
-from wsmsnet.trainer import (DENSENET_SCHEDULE, RESNET_SCHEDULE,
-                             DivergenceError, TrainConfig, compare_preds,
-                             evaluate, lr_at, read_pred_dump,
-                             sgd_momentum_step, train, write_pred_dump)
+from wsmsnet.trainer import (DivergenceError, TrainConfig, compare_preds, evaluate,
+                             lr_at, read_pred_dump, sgd_momentum_step, train,
+                             write_pred_dump)
 
 
 class TestLearningRateSchedule:
@@ -22,11 +21,6 @@ class TestLearningRateSchedule:
         assert lr_at(schedule, 122) == 0.01
         assert lr_at(schedule, 123) == 0.001
         assert lr_at(schedule, 400) == 0.001
-
-    def test_builtin_schedules_start_at_epoch_one(self):
-        for schedule in (RESNET_SCHEDULE, DENSENET_SCHEDULE):
-            assert schedule[0][0] == 1
-            assert lr_at(schedule, 1) > 0
 
     def test_epoch_below_one_rejected(self):
         with pytest.raises(ValueError, match="epoch"):
