@@ -340,7 +340,8 @@ def main(argv=None) -> int:
 
     try:
         return args.fn(args)
-    except (ConfigError, DataFormatError, FileNotFoundError) as err:
+    except (ConfigError, DataFormatError, FileNotFoundError, IsADirectoryError,
+            PermissionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except DivergenceError as err:

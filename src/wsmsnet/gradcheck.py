@@ -13,7 +13,7 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, using_precision
 from . import ops
-from .layers import BatchNorm, Conv2dLayer, ParamStore
+from .layers import BatchNorm, Conv2dLayer
 from .model import build_model, run_unit
 from .specs import BnSite, ConfigError, ConvSite, Unit, WsmsSpec, build_resnet
 
@@ -193,9 +193,9 @@ def _suite_cases(seed: int) -> Dict[str, Callable[[], Tuple[Callable[[], Tensor]
         # x feeds both conv1 and the identity shortcut; the tape must sum the
         # gradients arriving along the two paths
         rng = np.random.default_rng(seed + 13)
-        store = ParamStore()
-        conv1, conv2 = (Conv2dLayer(store, f"conv{i}", 3, 3, 3, 1, 1, rng) for i in (1, 2))
-        layers = [conv1, BatchNorm(store, "bn1", 3), conv2, BatchNorm(store, "bn2", 3)]
+        params = []
+        conv1, conv2 = (Conv2dLayer(params, f"conv{i}", 3, 3, 3, 1, 1, rng) for i in (1, 2))
+        layers = [conv1, BatchNorm(params, "bn1", 3), conv2, BatchNorm(params, "bn2", 3)]
         unit = Unit("residual", 1, (ConvSite("conv1", 3, 3), BnSite("bn1", 3),
                                     ConvSite("conv2", 3, 3), BnSite("bn2", 3)))
         x = _rand(rng, 2, 3, 5, 5)
@@ -203,7 +203,7 @@ def _suite_cases(seed: int) -> Dict[str, Callable[[], Tuple[Callable[[], Tensor]
         def loss():
             return ops.sum_all(ops.mul(run_unit(unit, layers, x, training=True),
                                        Tensor(fixed)))
-        return loss, [x] + [e.tensor for e in store.entries()]
+        return loss, [x] + [e.tensor for e in params]
 
     return {
         "conv2d": conv2d_case,
@@ -274,7 +274,7 @@ def tiny_model_case(seed: int):
     def loss():
         return ops.softmax_cross_entropy(model.forward(x, training=True), labels)
 
-    return loss, [e.tensor for e in model.store.entries()]
+    return loss, [e.tensor for e in model.params]
 
 
 def run_suite(seed: int = 0, corrupt: Optional[str] = None) -> Dict[str, float]:

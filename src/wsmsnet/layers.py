@@ -1,63 +1,37 @@
-"""Parameter registry and the layer objects models are assembled from.
+"""The layer objects models are assembled from.
 
-Every trainable array lives in a :class:`ParamStore` under an integer
-ParamId. Layer objects hold ids, not arrays; two layers constructed with the
-same id therefore share one parameter, and the tape sums their gradients.
-Batch-norm running statistics are buffers owned by the layer, never shared.
+Each layer holds its own parameter tensors and appends one
+:class:`ParamEntry` per tensor to the list it is constructed with, so that
+list holds every parameter once, in creation order. Weight sharing is object
+identity: stages that run the same layer object use its tensors, and the tape
+sums their gradients. Batch-norm running statistics are buffers owned by the
+layer, never shared.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator
+from typing import List
 
 import numpy as np
 
 from .autodiff import Tensor, default_dtype
 from .ops import batch_norm, conv2d, linear
 
-ROLES = ("conv-weight", "bn", "fc")
-
 
 @dataclass
 class ParamEntry:
-    pid: int
     name: str
     role: str
     tensor: Tensor
 
 
-class ParamStore:
-    """Registry of trainable parameters keyed by ParamId.
-
-    Ids are assigned in creation order and stay stable across checkpoint
-    round trips because model construction is deterministic.
-    """
-
-    def __init__(self):
-        self._entries: Dict[int, ParamEntry] = {}
-        self._next_id = 0
-
-    def create(self, name: str, role: str, data) -> int:
-        if role not in ROLES:
-            raise ValueError(f"unknown parameter role {role!r}; expected one of {ROLES}")
-        tensor = data if isinstance(data, Tensor) else Tensor(data)
-        tensor.requires_grad = True
-        pid = self._next_id
-        self._next_id += 1
-        self._entries[pid] = ParamEntry(pid, name, role, tensor)
-        return pid
-
-    def tensor(self, pid: int) -> Tensor:
-        return self._entries[pid].tensor
-
-    def entries(self) -> Iterator[ParamEntry]:
-        for pid in sorted(self._entries):
-            yield self._entries[pid]
-
-    def num_scalars(self) -> int:
-        return sum(e.tensor.size for e in self._entries.values())
+def _param(params: List[ParamEntry], name: str, role: str, data) -> Tensor:
+    tensor = data if isinstance(data, Tensor) else Tensor(data)
+    tensor.requires_grad = True
+    params.append(ParamEntry(name, role, tensor))
+    return tensor
 
 
 def he_init(shape, fan_in: int, rng: np.random.Generator) -> Tensor:
@@ -69,11 +43,11 @@ def he_init(shape, fan_in: int, rng: np.random.Generator) -> Tensor:
 
 
 class Conv2dLayer:
-    """Bias-free convolution whose weight lives in a ParamStore."""
+    """Bias-free convolution that owns its weight."""
 
-    def __init__(self, store: ParamStore, name: str, in_channels: int, out_channels: int,
-                 kernel: int, stride: int, padding: int, rng: np.random.Generator):
-        self.store = store
+    def __init__(self, params: List[ParamEntry], name: str, in_channels: int,
+                 out_channels: int, kernel: int, stride: int, padding: int,
+                 rng: np.random.Generator):
         self.name = name
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -81,46 +55,39 @@ class Conv2dLayer:
         self.stride = stride
         self.padding = padding
         fan_in = in_channels * kernel * kernel
-        self.weight_id = store.create(
-            name + ".weight", "conv-weight",
-            he_init((out_channels, in_channels, kernel, kernel), fan_in, rng))
+        self.weight = _param(params, name + ".weight", "conv-weight",
+                             he_init((out_channels, in_channels, kernel, kernel), fan_in, rng))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.store.tensor(self.weight_id),
-                      stride=self.stride, padding=self.padding)
+        return conv2d(x, self.weight, stride=self.stride, padding=self.padding)
 
 
 class BatchNorm:
     """Batch normalization with private affine parameters and running buffers,
     at ``ops.batch_norm``'s default momentum and epsilon."""
 
-    def __init__(self, store: ParamStore, name: str, channels: int):
-        self.store = store
+    def __init__(self, params: List[ParamEntry], name: str, channels: int):
         self.name = name
-        self.channels = channels
-        self.gamma_id = store.create(name + ".gamma", "bn", np.ones(channels, dtype=default_dtype()))
-        self.beta_id = store.create(name + ".beta", "bn", np.zeros(channels, dtype=default_dtype()))
+        self.gamma = _param(params, name + ".gamma", "bn", np.ones(channels, dtype=default_dtype()))
+        self.beta = _param(params, name + ".beta", "bn", np.zeros(channels, dtype=default_dtype()))
         self.running_mean = np.zeros(channels, dtype=default_dtype())
         self.running_var = np.ones(channels, dtype=default_dtype())
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return batch_norm(x, self.store.tensor(self.gamma_id), self.store.tensor(self.beta_id),
-                          self.running_mean, self.running_var, training=training)
+        return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
+                          training=training)
 
 
 class LinearLayer:
     """Fully connected layer; keeps its bias even when batch norm is in use."""
 
-    def __init__(self, store: ParamStore, name: str, in_features: int, out_features: int,
-                 rng: np.random.Generator):
-        self.store = store
+    def __init__(self, params: List[ParamEntry], name: str, in_features: int,
+                 out_features: int, rng: np.random.Generator):
         self.name = name
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight_id = store.create(name + ".weight", "fc",
-                                      he_init((out_features, in_features), in_features, rng))
-        self.bias_id = store.create(name + ".bias", "fc",
-                                    np.zeros(out_features, dtype=default_dtype()))
+        self.weight = _param(params, name + ".weight", "fc",
+                             he_init((out_features, in_features), in_features, rng))
+        self.bias = _param(params, name + ".bias", "fc",
+                           np.zeros(out_features, dtype=default_dtype()))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, self.store.tensor(self.weight_id), self.store.tensor(self.bias_id))
+        return linear(x, self.weight, self.bias)

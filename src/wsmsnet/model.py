@@ -1,11 +1,11 @@
 """Runtime assembly and execution of multi-stage models.
 
 The runtime executes the walk the cost model counts. ``build_model`` turns
-the units :func:`specs.stage_units` yields into layer objects bound to one
-ParamStore, and :func:`run_unit` runs each unit over its layers in site
-order. A conv site's path names one layer, so under shared wiring every stage
-that runs a conv references the same object and the tape accumulates its
-gradients across stages; batch norm sites are per stage.
+the units :func:`specs.stage_units` yields into layer objects, and
+:func:`run_unit` runs each unit over its layers in site order. A conv site's
+path names one layer, so under shared wiring every stage that runs a conv
+references the same object, and with it the same weight tensor, and the tape
+accumulates its gradients across stages; batch norm sites are per stage.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .data import DataFormatError
-from .layers import BatchNorm, Conv2dLayer, LinearLayer, ParamStore
+from .layers import BatchNorm, Conv2dLayer, LinearLayer, ParamEntry
 # scale stays bound, unused, because perfbench/tracing.py wraps it here by name
 from .ops import (add, avg_pool_half, concat_channels, global_avg_pool, pad_channels,  # noqa: F401
                   relu, reshape, scale, subsample2)
@@ -99,13 +99,14 @@ class Stage:
 
 
 class Model:
-    """Executable multi-stage network bound to one ParamStore."""
+    """Executable multi-stage network; ``params`` lists every parameter once,
+    in creation order, and an entry's position is its checkpoint ``pid``."""
 
-    def __init__(self, spec: WsmsSpec, store: ParamStore, stages: List[Stage],
+    def __init__(self, spec: WsmsSpec, params: List[ParamEntry], stages: List[Stage],
                  integration: Optional[Tuple[Unit, list]], fc: LinearLayer,
                  norms: List[BatchNorm]):
         self.spec = spec
-        self.store = store
+        self.params = params
         self.stages = stages
         self.integration = integration
         self.fc = fc
@@ -116,7 +117,7 @@ class Model:
         return self.spec.class_count
 
     def param_count(self) -> int:
-        return self.store.num_scalars()
+        return sum(e.tensor.size for e in self.params)
 
     def batch_norms(self) -> List[BatchNorm]:
         """Every batch norm in creation order, which is the checkpoint's buffer order."""
@@ -153,11 +154,11 @@ def build_model(spec: WsmsSpec, seed: int = 0) -> Model:
 
     Each pathway first creates the convs it is the first to run, then its
     batch norms, so under sharing stage 1 draws every conv before any batch
-    norm exists. That order fixes the ParamIds, the He-init draws and with
-    them the checkpoint layout.
+    norm exists. That order fixes the parameter list, the He-init draws and
+    with them the checkpoint layout.
     """
     plan = stage_plan(spec)
-    store = ParamStore()
+    params: List[ParamEntry] = []
     rng = np.random.default_rng(seed)
     convs: Dict[str, Conv2dLayer] = {}
     norms: List[BatchNorm] = []
@@ -168,7 +169,7 @@ def build_model(spec: WsmsSpec, seed: int = 0) -> Model:
             for site in unit.sites:
                 if isinstance(site, ConvSite) and site.path not in convs:
                     convs[site.path] = Conv2dLayer(
-                        store, site.path, site.in_channels, site.out_channels,
+                        params, site.path, site.in_channels, site.out_channels,
                         site.kernel, site.stride, site.padding, rng)
         pairs = []
         for unit in units:
@@ -177,7 +178,7 @@ def build_model(spec: WsmsSpec, seed: int = 0) -> Model:
                 if isinstance(site, ConvSite):
                     made.append(convs[site.path])
                 else:
-                    norms.append(BatchNorm(store, site.path, site.channels))
+                    norms.append(BatchNorm(params, site.path, site.channels))
                     made.append(norms[-1])
             pairs.append((unit, made))
         return pairs
@@ -186,8 +187,8 @@ def build_model(spec: WsmsSpec, seed: int = 0) -> Model:
               for s in range(1, spec.stages + 1)]
     head = integration_unit(spec)
     integration = instantiate([head])[0] if head is not None else None
-    fc = LinearLayer(store, "fc", plan.head_channels, spec.class_count, rng)
-    return Model(spec, store, stages, integration, fc, norms)
+    fc = LinearLayer(params, "fc", plan.head_channels, spec.class_count, rng)
+    return Model(spec, params, stages, integration, fc, norms)
 
 
 def save_checkpoint(model: Model, path, extras: Optional[dict] = None) -> None:
@@ -196,16 +197,15 @@ def save_checkpoint(model: Model, path, extras: Optional[dict] = None) -> None:
     The archive is written to ``<path>.tmp`` and then renamed over ``path``, so
     a save that fails part way leaves any earlier checkpoint at ``path`` whole.
     """
-    entries = list(model.store.entries())
     meta = {
         "format_version": CHECKPOINT_VERSION,
         "model": model_to_config(model.spec),
-        "params": [{"pid": e.pid, "name": e.name, "role": e.role,
-                    "shape": list(e.tensor.shape)} for e in entries],
+        "params": [{"pid": pid, "name": e.name, "role": e.role,
+                    "shape": list(e.tensor.shape)} for pid, e in enumerate(model.params)],
         "bn_buffers": [bn.name for bn in model.batch_norms()],
         "extras": extras or {},
     }
-    arrays = {f"param_{e.pid}": e.tensor.data for e in entries}
+    arrays = {f"param_{pid}": e.tensor.data for pid, e in enumerate(model.params)}
     for i, bn in enumerate(model.batch_norms()):
         arrays[f"bn_{i}_mean"] = bn.running_mean
         arrays[f"bn_{i}_var"] = bn.running_var
@@ -238,14 +238,13 @@ def load_checkpoint(path):
                                   f"{meta.get('format_version')!r}")
         spec = model_from_config(meta["model"])
         model = build_model(spec, seed=0)
-        entries = list(model.store.entries())
-        if len(entries) != len(meta["params"]):
+        if len(model.params) != len(meta["params"]):
             raise DataFormatError("checkpoint parameter list does not match the rebuilt model")
-        for e, rec in zip(entries, meta["params"]):
+        for pid, (e, rec) in enumerate(zip(model.params, meta["params"])):
             if e.name != rec["name"] or e.role != rec["role"] or list(e.tensor.shape) != rec["shape"]:
                 raise DataFormatError(f"checkpoint entry {rec['name']!r} does not match "
                                       f"rebuilt parameter {e.name!r}")
-            e.tensor.data = np.ascontiguousarray(z[f"param_{e.pid}"])
+            e.tensor.data = np.ascontiguousarray(z[f"param_{pid}"])
         norms = model.batch_norms()
         if [bn.name for bn in norms] != meta["bn_buffers"]:
             raise DataFormatError("checkpoint batch norm buffers do not match the rebuilt model")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import Tape, Tensor
 from .data import DataFormatError, Dataset, augment
-from .layers import ParamStore
+from .layers import ParamEntry
 from .model import Model, save_checkpoint
 from .ops import softmax_cross_entropy
 from .specs import ConfigError, read_config
@@ -104,23 +104,24 @@ def lr_at(schedule: Sequence[Tuple[int, float]], epoch: int) -> float:
     return current
 
 
-def sgd_momentum_step(params: ParamStore, grads: dict, velocity: Dict[int, np.ndarray],
+def sgd_momentum_step(params: Sequence[ParamEntry], grads: dict, velocity: Dict[int, np.ndarray],
                       lr: float, momentum: float, weight_decay: float) -> None:
     """v <- momentum*v + grad + wd*param; param <- param - lr*v.
 
-    Every store entry must have a gradient; a shared parameter therefore
-    receives exactly one update per step. ``velocity`` is keyed by ParamId,
-    owned by the caller and updated in place; it aliases no gradient.
+    Every entry must have a gradient; a shared parameter is one entry and
+    therefore receives exactly one update per step. ``velocity`` is keyed by
+    an entry's position in ``params``, owned by the caller and updated in
+    place; it aliases no gradient.
     """
-    for entry in params.entries():
+    for pid, entry in enumerate(params):
         grad = grads.get(entry.tensor)
         if grad is None:
             raise RuntimeError(f"missing gradient for parameter {entry.name!r} "
-                               f"(ParamId {entry.pid})")
+                               f"(pid {pid})")
         step = grad + weight_decay * entry.tensor.data if weight_decay else grad
-        v = velocity.get(entry.pid)
+        v = velocity.get(pid)
         if v is None:
-            v = velocity[entry.pid] = step.copy()
+            v = velocity[pid] = step.copy()
         else:
             v *= momentum
             v += step
@@ -167,7 +168,15 @@ def read_pred_dump(path) -> List[Tuple[int, int, int, int]]:
         header = next(reader, None)
         if header != ["id", "true", "pred", "correct"]:
             raise DataFormatError(f"{path}: unexpected prediction dump header {header}")
-        return [(int(a), int(b), int(c), int(d)) for a, b, c, d in reader]
+        rows = []
+        for row in reader:
+            try:
+                a, b, c, d = map(int, row)
+            except ValueError:
+                raise DataFormatError(f"{path}: line {reader.line_num}: expected four "
+                                      f"integers, got {row}") from None
+            rows.append((a, b, c, d))
+        return rows
 
 
 def compare_preds(baseline_rows: Sequence[Sequence[Tuple[int, int, int, int]]],
@@ -242,7 +251,7 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
                     if not math.isfinite(value):
                         raise DivergenceError(epoch, batch_index, value)
                     grads = tape.backward(loss)
-                sgd_momentum_step(model.store, grads, velocity, lr,
+                sgd_momentum_step(model.params, grads, velocity, lr,
                                   config.momentum, config.weight_decay)
                 loss_sum += value * len(batch)
                 wrong += int((logits.data.argmax(axis=1) != labels).sum())

@@ -164,8 +164,8 @@ class TestSharingGuarantees:
         with using_precision("f64"):
             shared = build_model(shared_spec, seed=0)
             unshared = build_model(unshared_spec, seed=1)
-            by_name = {e.name: e for e in shared.store.entries()}
-            for e in unshared.store.entries():
+            by_name = {e.name: e for e in shared.params}
+            for e in unshared.params:
                 source = e.name
                 if source not in by_name:
                     source = source.split(".", 1)[1]
@@ -186,9 +186,9 @@ class TestSharingGuarantees:
             assert loss_shared == loss_unshared
 
             unshared_by_name = {e.name: g_unshared[e.tensor]
-                                for e in unshared.store.entries()}
+                                for e in unshared.params}
             checked = 0
-            for e in shared.store.entries():
+            for e in shared.params:
                 if e.role != "conv-weight" or e.name.startswith("integration"):
                     continue
                 clones = [g for name, g in unshared_by_name.items()
@@ -204,7 +204,7 @@ class TestSharingGuarantees:
         model = build_model(tiny_wsms_spec, seed=0)
         x = Tensor(np.random.default_rng(6).standard_normal((2, 3, 32, 32)))
         before = [f.data.copy() for f in model.stage_features(x)]
-        gamma = model.store.tensor(layer_at(model.stages[1].units, "stage2.stem.bn").gamma_id)
+        gamma = layer_at(model.stages[1].units, "stage2.stem.bn").gamma
         gamma.data[:] = 2.0
         after = [f.data for f in model.stage_features(x)]
         np.testing.assert_array_equal(before[0], after[0])
@@ -322,7 +322,7 @@ class TestReproducibilityAndPersistence:
         train_ds, _, held = small_synth
         a = self._run(tiny_wsms_spec, train_ds, held, tmp_path / "a")
         b = self._run(tiny_wsms_spec, train_ds, held, tmp_path / "b")
-        for ea, eb in zip(a.store.entries(), b.store.entries()):
+        for ea, eb in zip(a.params, b.params):
             assert ea.name == eb.name
             np.testing.assert_array_equal(ea.tensor.data, eb.tensor.data)
         assert ((tmp_path / "a" / "metrics.jsonl").read_bytes()

@@ -199,10 +199,19 @@ class TestBadInputFiles:
         ("old.npz", npz_bytes(meta=np.frombuffer(b'{"format_version": 99}', dtype=np.uint8)),
          "unsupported checkpoint format version 99"),
         ("preds.csv", b"who,what\n1,2\n", "unexpected prediction dump header"),
-    ], ids=["not-a-checkpoint", "other-format-version", "dump-header"])
+        ("preds.csv", b"id,true,pred,correct\n1,2,x,0\n", "preds.csv: line 2: expected"),
+        ("preds.csv", b"id,true,pred,correct\n0,1,1,1\n1,2,0\n", "preds.csv: line 3: expected"),
+        ("dir.npz", None, "Is a directory"),
+    ], ids=["not-a-checkpoint", "other-format-version", "dump-header", "dump-non-integer",
+            "dump-three-columns", "checkpoint-is-a-directory"])
     def test_exits_2(self, tmp_path, capsys, name, content, expected):
+        # the directory stands in for any unreadable path: a permission error
+        # cannot be provoked when the tests run as root
         path = tmp_path / name
-        path.write_bytes(content)
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
         if name.endswith(".npz"):
             argv = ["eval", str(path), TINY_PRESET]
         else:

@@ -2,23 +2,21 @@ import numpy as np
 import pytest
 
 from wsmsnet.autodiff import Tape, Tensor
-from wsmsnet.layers import (BatchNorm, Conv2dLayer, LinearLayer, ParamStore,
-                            he_init)
+from wsmsnet.layers import BatchNorm, Conv2dLayer, LinearLayer, he_init
 
 
-class TestParamStore:
-    def test_ids_are_sequential_and_entries_ordered(self):
-        store = ParamStore()
-        a = store.create("w1", "conv-weight", np.zeros((2, 2)))
-        b = store.create("w2", "fc", np.zeros(3))
-        assert (a, b) == (0, 1)
-        assert [e.name for e in store.entries()] == ["w1", "w2"]
-        assert store.num_scalars() == 7
-        assert store.tensor(a).shape == (2, 2)
-
-    def test_rejects_unknown_role(self):
-        with pytest.raises(ValueError, match="role"):
-            ParamStore().create("w", "mystery", np.zeros(1))
+class TestParamEntries:
+    def test_layers_append_their_tensors_in_creation_order(self):
+        params, rng = [], np.random.default_rng(0)
+        conv = Conv2dLayer(params, "stem", 3, 4, 3, 1, 1, rng)
+        bn = BatchNorm(params, "bn", 4)
+        fc = LinearLayer(params, "fc", 4, 2, rng)
+        assert [(e.name, e.role) for e in params] == [
+            ("stem.weight", "conv-weight"), ("bn.gamma", "bn"), ("bn.beta", "bn"),
+            ("fc.weight", "fc"), ("fc.bias", "fc")]
+        held = [conv.weight, bn.gamma, bn.beta, fc.weight, fc.bias]
+        assert all(e.tensor is t for e, t in zip(params, held))
+        assert all(e.tensor.requires_grad for e in params)
 
 
 class TestHeInit:
@@ -37,22 +35,20 @@ class TestHeInit:
 
 class TestConv2dLayer:
     def test_registers_weight_with_expected_shape(self):
-        store = ParamStore()
-        layer = Conv2dLayer(store, "stem", 3, 16, 3, 1, 1, np.random.default_rng(0))
-        entries = list(store.entries())
-        assert [e.role for e in entries] == ["conv-weight"]
-        assert entries[0].tensor.shape == (16, 3, 3, 3)
+        params = []
+        layer = Conv2dLayer(params, "stem", 3, 16, 3, 1, 1, np.random.default_rng(0))
+        assert [e.role for e in params] == ["conv-weight"]
+        assert layer.weight.shape == (16, 3, 3, 3)
         y = layer(Tensor(np.zeros((2, 3, 8, 8))))
         assert y.shape == (2, 16, 8, 8)
 
 
 class TestBatchNorm:
     def build(self, channels=3):
-        store = ParamStore()
-        return store, BatchNorm(store, "bn", channels)
+        return BatchNorm([], "bn", channels)
 
     def test_normalizes_batch_statistics(self):
-        store, bn = self.build()
+        bn = self.build()
         rng = np.random.default_rng(1)
         x = Tensor(5.0 + 2.0 * rng.standard_normal((16, 3, 8, 8)))
         y = bn(x, training=True).data
@@ -60,15 +56,14 @@ class TestBatchNorm:
         np.testing.assert_allclose(y.var(axis=(0, 2, 3)), 1.0, atol=1e-3)
 
     def test_constant_input_maps_to_beta(self):
-        store, bn = self.build()
-        beta = store.tensor(bn.beta_id)
-        beta.data[:] = [1.0, -2.0, 0.5]
+        bn = self.build()
+        bn.beta.data[:] = [1.0, -2.0, 0.5]
         y = bn(Tensor(np.full((4, 3, 2, 2), 7.0)), training=True).data
         np.testing.assert_allclose(y[:, 0], 1.0, atol=1e-2)
         np.testing.assert_allclose(y[:, 1], -2.0, atol=1e-2)
 
     def test_running_stats_converge_to_data_statistics(self):
-        store, bn = self.build(2)
+        bn = self.build(2)
         rng = np.random.default_rng(2)
         x = 3.0 + 0.5 * rng.standard_normal((64, 2, 4, 4))
         for _ in range(300):
@@ -77,7 +72,7 @@ class TestBatchNorm:
         np.testing.assert_allclose(bn.running_var, x.var(axis=(0, 2, 3)), rtol=1e-3)
 
     def test_eval_mode_uses_running_buffers_and_keeps_them_fixed(self):
-        store, bn = self.build(1)
+        bn = self.build(1)
         bn.running_mean[:] = 4.0
         bn.running_var[:] = 4.0
         before = bn.running_mean.copy()
@@ -91,8 +86,7 @@ class TestBatchNorm:
         from wsmsnet import ops
 
         with using_precision("f64"):
-            store = ParamStore()
-            bn = BatchNorm(store, "bn", 2)
+            bn = BatchNorm([], "bn", 2)
             rng = np.random.default_rng(3)
             x = Tensor(rng.standard_normal((4, 2, 3, 3)))
             x.requires_grad = True
@@ -111,14 +105,12 @@ class TestBatchNorm:
 
 class TestLinearLayer:
     def test_parameter_count_and_shapes(self):
-        store = ParamStore()
-        layer = LinearLayer(store, "fc", 112, 10, np.random.default_rng(0))
-        assert store.num_scalars() == 112 * 10 + 10
+        params = []
+        layer = LinearLayer(params, "fc", 112, 10, np.random.default_rng(0))
+        assert sum(e.tensor.size for e in params) == 112 * 10 + 10
         y = layer(Tensor(np.zeros((5, 112))))
         assert y.shape == (5, 10)
 
     def test_bias_starts_at_zero(self):
-        store = ParamStore()
-        LinearLayer(store, "fc", 4, 3, np.random.default_rng(0))
-        bias = [e for e in store.entries() if e.tensor.ndim == 1][0]
-        np.testing.assert_array_equal(bias.tensor.data, 0.0)
+        layer = LinearLayer([], "fc", 4, 3, np.random.default_rng(0))
+        np.testing.assert_array_equal(layer.bias.data, 0.0)

@@ -67,15 +67,16 @@ LAYOUT_DIGESTS = {
 
 def layout_digest(model) -> str:
     """Hash of (name, role, shape) per parameter in pid order plus BN buffer names."""
-    layout = {"params": [[e.name, e.role, list(e.tensor.shape)]
-                         for e in model.store.entries()],
+    layout = {"params": [[e.name, e.role, list(e.tensor.shape)] for e in model.params],
               "bn_buffers": [bn.name for bn in model.batch_norms()]}
     return hashlib.sha256(json.dumps(layout).encode()).hexdigest()
 
 
 def check_layers_match_rows(spec):
     """Runtime convs run in cost row order with the rows' paths and output
-    shapes, batch norms match the bn rows, and the parameter totals agree."""
+    shapes, batch norms match the bn rows, and the parameter totals agree.
+    The tensors the layers hold are the model's parameter list, each once,
+    so a shared conv's weight is one parameter however many stages run it."""
     model = build_model(spec, seed=0)
     calls = []
     conv_call = layers.Conv2dLayer.__call__
@@ -93,6 +94,12 @@ def check_layers_match_rows(spec):
     assert [bn.name for bn in model.batch_norms()] == \
         [r.path for r in report.rows if r.kind == "bn"]
     assert model.param_count() == report.total_params
+    run = [layer for stage in model.stages for _, unit_layers in stage.units
+           for layer in unit_layers]
+    run += model.integration[1] if model.integration is not None else []
+    held = {id(t) for layer in run + [model.fc] for t in vars(layer).values()
+            if isinstance(t, Tensor)}
+    assert sorted(id(e.tensor) for e in model.params) == sorted(held)
 
 
 def check_truncated_pathways_align(spec):

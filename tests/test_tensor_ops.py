@@ -7,7 +7,7 @@ import pytest
 
 from wsmsnet import model, ops
 from wsmsnet.autodiff import Tape, Tensor, using_precision
-from wsmsnet.layers import BatchNorm, Conv2dLayer, ParamStore
+from wsmsnet.layers import BatchNorm, Conv2dLayer
 from wsmsnet.specs import BnSite, ConvSite, Unit
 
 
@@ -127,9 +127,9 @@ class TestTapeLiveness:
         live = {}
         monkeypatch.setattr(model, "add", self.spied("add", ops.add, live))
         monkeypatch.setattr(model, "relu", self.spied("relu", ops.relu, live))
-        store, rng = ParamStore(), np.random.default_rng(0)
-        conv1, conv2 = (Conv2dLayer(store, f"conv{i}", 4, 4, 3, 1, 1, rng) for i in (1, 2))
-        bn1, bn2 = (BatchNorm(store, f"bn{i}", 4) for i in (1, 2))
+        params, rng = [], np.random.default_rng(0)
+        conv1, conv2 = (Conv2dLayer(params, f"conv{i}", 4, 4, 3, 1, 1, rng) for i in (1, 2))
+        bn1, bn2 = (BatchNorm(params, f"bn{i}", 4) for i in (1, 2))
         unit = Unit("residual", 1, (ConvSite("conv1", 4, 4), BnSite("bn1", 4),
                                     ConvSite("conv2", 4, 4), BnSite("bn2", 4)))
         spied = [self.spied("conv", conv1, live), self.spied("bn", bn1, live),

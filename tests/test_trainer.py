@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wsmsnet.autodiff import Tensor
-from wsmsnet.layers import ParamStore
+from wsmsnet.layers import ParamEntry
 from wsmsnet.model import build_model, load_checkpoint, save_checkpoint
 from wsmsnet.trainer import (DivergenceError, TrainConfig, compare_preds, evaluate,
                              lr_at, read_pred_dump, sgd_momentum_step, train,
@@ -44,34 +44,33 @@ class TestTrainConfig:
 
 class TestMomentumStep:
     def make_param(self, value):
-        store = ParamStore()
-        pid = store.create("w", "fc", np.array([value]))
-        return store, store.tensor(pid)
+        p = Tensor(np.array([value]))
+        return [ParamEntry("w", "fc", p)], p
 
     def test_two_steps_accumulate_velocity(self):
-        store, p = self.make_param(1.0)
+        params, p = self.make_param(1.0)
         velocity = {}
         grads = {p: np.array([0.5], dtype=p.dtype)}
-        sgd_momentum_step(store, grads, velocity, lr=0.1, momentum=0.9,
+        sgd_momentum_step(params, grads, velocity, lr=0.1, momentum=0.9,
                           weight_decay=0.0)
         assert p.data[0] == pytest.approx(0.95)
-        sgd_momentum_step(store, grads, velocity, lr=0.1, momentum=0.9,
+        sgd_momentum_step(params, grads, velocity, lr=0.1, momentum=0.9,
                           weight_decay=0.0)
         # v2 = 0.9*0.5 + 0.5 = 0.95; p2 = 0.95 - 0.095
         assert p.data[0] == pytest.approx(0.855)
         assert grads[p][0] == 0.5  # the velocity updated in place is not the gradient
 
     def test_weight_decay_enters_the_velocity(self):
-        store, p = self.make_param(2.0)
+        params, p = self.make_param(2.0)
         grads = {p: np.array([0.0], dtype=p.dtype)}
-        sgd_momentum_step(store, grads, {}, lr=0.1, momentum=0.9,
+        sgd_momentum_step(params, grads, {}, lr=0.1, momentum=0.9,
                           weight_decay=0.5)
         assert p.data[0] == pytest.approx(2.0 - 0.1 * (0.5 * 2.0))
 
     def test_missing_gradient_is_an_error(self):
-        store, p = self.make_param(1.0)
+        params, p = self.make_param(1.0)
         with pytest.raises(RuntimeError, match="missing gradient"):
-            sgd_momentum_step(store, {}, {}, 0.1, 0.9, 0.0)
+            sgd_momentum_step(params, {}, {}, 0.1, 0.9, 0.0)
 
 
 class TestTrainLoop:
@@ -82,7 +81,7 @@ class TestTrainLoop:
         return TrainConfig(**base)
 
     def snapshot(self, model):
-        return [e.tensor.data.copy() for e in model.store.entries()]
+        return [e.tensor.data.copy() for e in model.params]
 
     def test_zero_epochs_leave_parameters_untouched(self, tiny_wsms_spec,
                                                     small_synth):
@@ -130,7 +129,7 @@ class TestTrainLoop:
     def test_non_finite_loss_raises_divergence(self, tiny_wsms_spec, small_synth, layer_at):
         train_ds, _, _ = small_synth
         model = build_model(tiny_wsms_spec, seed=0)
-        weight = model.store.tensor(layer_at(model.stages[0].units, "stem").weight_id)
+        weight = layer_at(model.stages[0].units, "stem").weight
         weight.data[:] = np.nan
         with pytest.raises(DivergenceError) as info:
             train(model, train_ds, self.config(), eval_ds=None)
@@ -180,7 +179,7 @@ class TestCheckpointPersistence:
         save_checkpoint(model, path, extras={"note": "x"})
         loaded, extras = load_checkpoint(path)
         assert extras == {"note": "x"}
-        for a, b in zip(model.store.entries(), loaded.store.entries()):
+        for a, b in zip(model.params, loaded.params):
             assert a.name == b.name
             assert a.tensor.data.tobytes() == b.tensor.data.tobytes()
         for bn_a, bn_b in zip(model.batch_norms(), loaded.batch_norms()):
@@ -202,8 +201,7 @@ class TestCheckpointPersistence:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
         assert path.read_bytes() == saved
         loaded, _ = load_checkpoint(path)
-        assert [e.name for e in loaded.store.entries()] == \
-            [e.name for e in model.store.entries()]
+        assert [e.name for e in loaded.params] == [e.name for e in model.params]
 
     def test_loading_rejects_other_formats(self, tmp_path):
         np.savez(tmp_path / "bad.npz",
