@@ -210,6 +210,19 @@ class TestCheckpointPersistence:
         with pytest.raises(ValueError, match="format version"):
             load_checkpoint(tmp_path / "bad.npz")
 
+    def test_loading_rejects_a_changed_role(self, tiny_wsms_spec, tmp_path):
+        path = tmp_path / "model.npz"
+        save_checkpoint(build_model(tiny_wsms_spec, seed=0), path)
+        with np.load(path) as z:
+            arrays = dict(z)
+        meta = json.loads(arrays["meta"].tobytes().decode())
+        assert meta["params"][0]["role"] == "conv-weight"
+        meta["params"][0]["role"] = "bn"
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="does not match"):
+            load_checkpoint(path)
+
 
 class TestEvaluation:
     def test_rows_are_ordered_by_id_and_match_error(self, tiny_wsms_spec,
