@@ -166,6 +166,14 @@ def _resolve_datasets(cfg: dict, data_arg=None, seed=None):
     return train_n, eval_n, mean, std, manifest
 
 
+def _check_class_count(ds, class_count: int) -> None:
+    from .specs import ConfigError
+
+    if ds.class_count != class_count:
+        raise ConfigError(f"config data section has {ds.class_count} classes, "
+                          f"model expects {class_count}")
+
+
 def cmd_train(args) -> int:
     from . import __version__
     from .model import build_model
@@ -178,6 +186,7 @@ def cmd_train(args) -> int:
                  if value is not None}
     tcfg = TrainConfig.from_dict({**config_object(cfg.get("train", {}), "train"), **overrides})
     train_ds, eval_ds, mean, std, data_manifest = _resolve_datasets(cfg, args.data, args.seed)
+    _check_class_count(train_ds, spec.class_count)
 
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -233,6 +242,7 @@ def cmd_eval(args) -> int:
 
     model, _extras = load_checkpoint(args.checkpoint)
     _train, eval_ds, *_ = _resolve_datasets(_load_config(args.config), args.data)
+    _check_class_count(eval_ds, model.class_count)
     error, rows = evaluate(model, eval_ds)
     print(f"error={error:.2f}% over {len(rows)} examples")
     if args.out:

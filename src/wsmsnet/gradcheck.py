@@ -46,7 +46,7 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def check(build_loss: Callable[[], Tensor], params: Sequence[Tensor],
-          step: float = DEFAULT_STEP, fault: float = 1.0) -> float:
+          fault: float = 1.0) -> float:
     """Worst relative error across params between tape and finite differences,
     with the tape's gradients scaled by ``fault`` (1.01 simulates a broken rule)."""
     with Tape() as tape:
@@ -57,9 +57,13 @@ def check(build_loss: Callable[[], Tensor], params: Sequence[Tensor],
         analytic = grads.get(p)
         if analytic is None:
             raise RuntimeError("a checked parameter received no gradient")
-        numeric = numeric_grad(lambda: build_loss().item(), p.data, step)
+        numeric = numeric_grad(lambda: build_loss().item(), p.data)
         worst = max(worst, max_rel_error(analytic * fault, numeric))
     return worst
+
+
+# a case: the loss closure and the tensors whose gradients are checked
+Case = Tuple[Callable[[], Tensor], List[Tensor]]
 
 
 def _rand(rng, *shape) -> Tensor:
@@ -68,161 +72,56 @@ def _rand(rng, *shape) -> Tensor:
     return t
 
 
-def _suite_cases(seed: int) -> Dict[str, Callable[[], Tuple[Callable[[], Tensor], List[Tensor]]]]:
-    """Each case builds (loss closure, parameters to check) from scratch."""
+def _projected(rng, op: Callable[..., Tensor], *inputs: Tensor) -> Case:
+    """sum(op(*inputs) * fixed), with ``fixed`` drawn from rng after the inputs
+    in the shape of op's output, and the inputs to check."""
+    fixed = Tensor(rng.standard_normal(op(*inputs).shape))
 
-    def conv2d_case():
-        rng = np.random.default_rng(seed)
-        x = _rand(rng, 2, 4, 6, 6)
-        w = _rand(rng, 3, 4, 3, 3)
-        fixed = rng.standard_normal((2, 3, 6, 6))
-        def loss():
-            return ops.sum_all(ops.mul(ops.conv2d(x, w, stride=1, padding=1),
-                                       Tensor(fixed)))
-        return loss, [x, w]
+    def loss():
+        return ops.sum_all(ops.mul(op(*inputs), fixed))
 
-    def conv2d_strided_case():
-        rng = np.random.default_rng(seed + 1)
-        x = _rand(rng, 2, 3, 7, 7)
-        w = _rand(rng, 4, 3, 3, 3)
-        fixed = rng.standard_normal((2, 4, 4, 4))
-        def loss():
-            return ops.sum_all(ops.mul(ops.conv2d(x, w, stride=2, padding=1),
-                                       Tensor(fixed)))
-        return loss, [x, w]
-
-    def linear_case():
-        rng = np.random.default_rng(seed + 2)
-        x = _rand(rng, 5, 7)
-        w = _rand(rng, 4, 7)
-        b = _rand(rng, 4)
-        fixed = rng.standard_normal((5, 4))
-        def loss():
-            return ops.sum_all(ops.mul(ops.linear(x, w, b), Tensor(fixed)))
-        return loss, [x, w, b]
-
-    def batch_norm_case():
-        rng = np.random.default_rng(seed + 3)
-        x = _rand(rng, 4, 3, 5, 5)
-        gamma = _rand(rng, 3)
-        beta = _rand(rng, 3)
-        fixed = rng.standard_normal((4, 3, 5, 5))
-        def loss():
-            running_mean = np.zeros(3)
-            running_var = np.ones(3)
-            y = ops.batch_norm(x, gamma, beta, running_mean, running_var, training=True)
-            return ops.sum_all(ops.mul(y, Tensor(fixed)))
-        return loss, [x, gamma, beta]
-
-    def batch_norm_eval_case():
-        rng = np.random.default_rng(seed + 12)
-        x = _rand(rng, 4, 3, 5, 5)
-        gamma = _rand(rng, 3)
-        beta = _rand(rng, 3)
-        running_mean = rng.standard_normal(3)
-        running_var = rng.random(3) + 0.5
-        fixed = rng.standard_normal((4, 3, 5, 5))
-        def loss():
-            y = ops.batch_norm(x, gamma, beta, running_mean, running_var, training=False)
-            return ops.sum_all(ops.mul(y, Tensor(fixed)))
-        return loss, [x, gamma, beta]
-
-    def relu_case():
-        rng = np.random.default_rng(seed + 4)
-        x = _rand(rng, 3, 4, 4, 4)
-        fixed = rng.standard_normal((3, 4, 4, 4))
-        def loss():
-            return ops.sum_all(ops.mul(ops.relu(x), Tensor(fixed)))
-        return loss, [x]
-
-    def avg_pool_case():
-        rng = np.random.default_rng(seed + 5)
-        x = _rand(rng, 2, 3, 6, 6)
-        fixed = rng.standard_normal((2, 3, 3, 3))
-        def loss():
-            return ops.sum_all(ops.mul(ops.avg_pool_half(x), Tensor(fixed)))
-        return loss, [x]
-
-    def global_pool_case():
-        rng = np.random.default_rng(seed + 7)
-        x = _rand(rng, 2, 5, 4, 4)
-        fixed = rng.standard_normal((2, 5, 1, 1))
-        def loss():
-            return ops.sum_all(ops.mul(ops.global_avg_pool(x), Tensor(fixed)))
-        return loss, [x]
-
-    def softmax_case():
-        rng = np.random.default_rng(seed + 8)
-        x = _rand(rng, 6, 5)
-        labels = rng.integers(0, 5, size=6)
-        def loss():
-            return ops.softmax_cross_entropy(x, labels)
-        return loss, [x]
-
-    def shortcut_case():
-        rng = np.random.default_rng(seed + 9)
-        x = _rand(rng, 2, 3, 6, 6)
-        fixed = rng.standard_normal((2, 5, 3, 3))
-        def loss():
-            y = ops.pad_channels(ops.subsample2(x), 5)
-            return ops.sum_all(ops.mul(y, Tensor(fixed)))
-        return loss, [x]
-
-    def concat_case():
-        rng = np.random.default_rng(seed + 10)
-        a = _rand(rng, 2, 2, 4, 4)
-        b = _rand(rng, 2, 3, 4, 4)
-        fixed = rng.standard_normal((2, 5, 4, 4))
-        def loss():
-            return ops.sum_all(ops.mul(ops.concat_channels([a, b]), Tensor(fixed)))
-        return loss, [a, b]
-
-    def shared_weight_case():
-        # one weight at two conv sites; the tape must sum both site gradients
-        rng = np.random.default_rng(seed + 11)
-        x1 = _rand(rng, 2, 3, 5, 5)
-        x2 = _rand(rng, 2, 3, 5, 5)
-        w = _rand(rng, 3, 3, 3, 3)
-        fixed = rng.standard_normal((2, 3, 5, 5))
-        def loss():
-            y = ops.add(ops.conv2d(x1, w, padding=1), ops.conv2d(x2, w, padding=1))
-            return ops.sum_all(ops.mul(y, Tensor(fixed)))
-        return loss, [x1, x2, w]
-
-    def residual_unit_case():
-        # x feeds both conv1 and the identity shortcut; the tape must sum the
-        # gradients arriving along the two paths
-        rng = np.random.default_rng(seed + 13)
-        params = []
-        conv1, conv2 = (Conv2dLayer(params, f"conv{i}", 3, 3, 3, 1, 1, rng) for i in (1, 2))
-        layers = [conv1, BatchNorm(params, "bn1", 3), conv2, BatchNorm(params, "bn2", 3)]
-        unit = Unit("residual", 1, (ConvSite("conv1", 3, 3), BnSite("bn1", 3),
-                                    ConvSite("conv2", 3, 3), BnSite("bn2", 3)))
-        x = _rand(rng, 2, 3, 5, 5)
-        fixed = rng.standard_normal((2, 3, 5, 5))
-        def loss():
-            return ops.sum_all(ops.mul(run_unit(unit, layers, x, training=True),
-                                       Tensor(fixed)))
-        return loss, [x] + [e.tensor for e in params]
-
-    return {
-        "conv2d": conv2d_case,
-        "conv2d-strided": conv2d_strided_case,
-        "linear": linear_case,
-        "batch_norm": batch_norm_case,
-        "batch_norm-eval": batch_norm_eval_case,
-        "relu": relu_case,
-        "avg_pool_half": avg_pool_case,
-        "global_avg_pool": global_pool_case,
-        "softmax_cross_entropy": softmax_case,
-        "shortcut": shortcut_case,
-        "concat_channels": concat_case,
-        "shared-weight": shared_weight_case,
-        "residual-unit": residual_unit_case,
-    }
+    return loss, list(inputs)
 
 
-def random_graph_case(seed: int, depth: int = 6):
+def _case(offset: int, op: Callable[..., Tensor], *shapes) -> Callable[[int], Case]:
+    """A case whose inputs, one per shape, come from default_rng(seed + offset)."""
+    def factory(seed: int) -> Case:
+        rng = np.random.default_rng(seed + offset)
+        return _projected(rng, op, *(_rand(rng, *shape) for shape in shapes))
+    return factory
+
+
+def batch_norm_eval_case(seed: int) -> Case:
+    rng = np.random.default_rng(seed + 12)
+    inputs = [_rand(rng, 4, 3, 5, 5), _rand(rng, 3), _rand(rng, 3)]
+    running_mean = rng.standard_normal(3)
+    running_var = rng.random(3) + 0.5
+    return _projected(rng, lambda x, gamma, beta: ops.batch_norm(
+        x, gamma, beta, running_mean, running_var, training=False), *inputs)
+
+
+def softmax_case(seed: int) -> Case:
+    rng = np.random.default_rng(seed + 8)
+    x = _rand(rng, 6, 5)
+    labels = rng.integers(0, 5, size=6)
+    return (lambda: ops.softmax_cross_entropy(x, labels)), [x]
+
+
+def residual_unit_case(seed: int) -> Case:
+    # x feeds both conv1 and the identity shortcut; the tape must sum the
+    # gradients arriving along the two paths
+    rng = np.random.default_rng(seed + 13)
+    params = []
+    conv1, conv2 = (Conv2dLayer(params, f"conv{i}", 3, 3, 3, 1, 1, rng) for i in (1, 2))
+    layers = [conv1, BatchNorm(params, "bn1", 3), conv2, BatchNorm(params, "bn2", 3)]
+    unit = Unit("residual", 1, (ConvSite("conv1", 3, 3), BnSite("bn1", 3),
+                                ConvSite("conv2", 3, 3), BnSite("bn2", 3)))
+    loss, checked = _projected(rng, lambda x: run_unit(unit, layers, x, training=True),
+                               _rand(rng, 2, 3, 5, 5))
+    return loss, checked + [e.tensor for e in params]
+
+
+def random_graph_case(seed: int, depth: int = 6) -> Case:
     """Compose random primitives into a fixed program of the given depth."""
     rng = np.random.default_rng(seed)
     x = _rand(rng, 2, 3, 8, 8)
@@ -230,11 +129,9 @@ def random_graph_case(seed: int, depth: int = 6):
     program: List[Tuple[str, Optional[Tensor]]] = []
     channels, h = 3, 8
     for _ in range(depth):
-        choices = ["relu", "conv"]
-        if h % 2 == 0 and h >= 4:
-            choices.append("avg_pool")
-        if channels <= 6:
-            choices.append("branch_add")
+        choices = ["relu", "conv", "avg_pool", "branch_add"]
+        if h % 2 or h < 4:
+            choices.remove("avg_pool")
         op = choices[rng.integers(0, len(choices))]
         if op == "conv":
             w = _rand(rng, 4, channels, 3, 3)
@@ -262,7 +159,7 @@ def random_graph_case(seed: int, depth: int = 6):
     return loss, params
 
 
-def tiny_model_case(seed: int):
+def tiny_model_case(seed: int) -> Case:
     """End-to-end check through a small two-stage shared model."""
     backbone = build_resnet(1, class_count=3, channels=(4, 6))
     spec = WsmsSpec(backbone, stages=2, integration="conv1x1", integration_channels=5)
@@ -277,6 +174,34 @@ def tiny_model_case(seed: int):
     return loss, [e.tensor for e in model.params]
 
 
+# every case by name, in report order; each maps a suite seed to a Case
+_CASES: Dict[str, Callable[[int], Case]] = {
+    "conv2d": _case(0, lambda x, w: ops.conv2d(x, w, stride=1, padding=1),
+                    (2, 4, 6, 6), (3, 4, 3, 3)),
+    "conv2d-strided": _case(1, lambda x, w: ops.conv2d(x, w, stride=2, padding=1),
+                            (2, 3, 7, 7), (4, 3, 3, 3)),
+    "linear": _case(2, ops.linear, (5, 7), (4, 7), (4,)),
+    "batch_norm": _case(3, lambda x, gamma, beta: ops.batch_norm(
+        x, gamma, beta, np.zeros(3), np.ones(3), training=True), (4, 3, 5, 5), (3,), (3,)),
+    "batch_norm-eval": batch_norm_eval_case,
+    "relu": _case(4, ops.relu, (3, 4, 4, 4)),
+    "avg_pool_half": _case(5, ops.avg_pool_half, (2, 3, 6, 6)),
+    "global_avg_pool": _case(7, ops.global_avg_pool, (2, 5, 4, 4)),
+    "softmax_cross_entropy": softmax_case,
+    "shortcut": _case(9, lambda x: ops.pad_channels(ops.subsample2(x), 5), (2, 3, 6, 6)),
+    "concat_channels": _case(10, lambda a, b: ops.concat_channels([a, b]),
+                             (2, 2, 4, 4), (2, 3, 4, 4)),
+    # one weight at two conv sites; the tape must sum both site gradients
+    "shared-weight": _case(11, lambda x1, x2, w: ops.add(ops.conv2d(x1, w, padding=1),
+                                                         ops.conv2d(x2, w, padding=1)),
+                           (2, 3, 5, 5), (2, 3, 5, 5), (3, 3, 3, 3)),
+    "residual-unit": residual_unit_case,
+    **{f"random-graph-{g}": lambda seed, g=g: random_graph_case(seed + 20 + g)
+       for g in range(3)},
+    "wsms-tiny-model": tiny_model_case,
+}
+
+
 def run_suite(seed: int = 0, corrupt: Optional[str] = None) -> Dict[str, float]:
     """Gradcheck every primitive, random compositions, and a tiny model.
 
@@ -286,15 +211,11 @@ def run_suite(seed: int = 0, corrupt: Optional[str] = None) -> Dict[str, float]:
     """
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    cases = _suite_cases(seed)
-    for g in range(3):
-        cases[f"random-graph-{g}"] = lambda g=g: random_graph_case(seed + 20 + g)
-    cases["wsms-tiny-model"] = lambda: tiny_model_case(seed)
-    if corrupt is not None and corrupt not in cases:
+    if corrupt is not None and corrupt not in _CASES:
         raise ConfigError(f"unknown gradcheck case {corrupt!r}")
     results: Dict[str, float] = {}
     with using_precision("f64"):
-        for name, factory in cases.items():
-            build_loss, params = factory()
+        for name, factory in _CASES.items():
+            build_loss, params = factory(seed)
             results[name] = check(build_loss, params, fault=1.01 if name == corrupt else 1.0)
     return results

@@ -233,23 +233,32 @@ def load_checkpoint(path):
             meta = json.loads(z["meta"].tobytes().decode())
         except (ValueError, LookupError, EOFError, zipfile.BadZipFile):
             raise DataFormatError(f"{path} is not a wsmsnet checkpoint") from None
+        if not isinstance(meta, dict):
+            raise DataFormatError(f"{path}: checkpoint meta must be an object")
         if meta.get("format_version") != CHECKPOINT_VERSION:
             raise DataFormatError(f"unsupported checkpoint format version "
                                   f"{meta.get('format_version')!r}")
+        if "model" not in meta:
+            raise DataFormatError(f"{path}: checkpoint meta has no model config")
         spec = model_from_config(meta["model"])
         model = build_model(spec, seed=0)
-        if len(model.params) != len(meta["params"]):
-            raise DataFormatError("checkpoint parameter list does not match the rebuilt model")
-        for pid, (e, rec) in enumerate(zip(model.params, meta["params"])):
-            if e.name != rec["name"] or e.role != rec["role"] or list(e.tensor.shape) != rec["shape"]:
-                raise DataFormatError(f"checkpoint entry {rec['name']!r} does not match "
-                                      f"rebuilt parameter {e.name!r}")
-            e.tensor.data = np.ascontiguousarray(z[f"param_{pid}"])
-        norms = model.batch_norms()
-        if [bn.name for bn in norms] != meta["bn_buffers"]:
-            raise DataFormatError("checkpoint batch norm buffers do not match the rebuilt model")
-        for i, bn in enumerate(norms):
-            bn.running_mean = np.ascontiguousarray(z[f"bn_{i}_mean"])
-            bn.running_var = np.ascontiguousarray(z[f"bn_{i}_var"])
+        try:
+            if len(model.params) != len(meta["params"]):
+                raise DataFormatError("checkpoint parameter list does not match the rebuilt model")
+            for pid, (e, rec) in enumerate(zip(model.params, meta["params"])):
+                if (e.name != rec["name"] or e.role != rec["role"]
+                        or list(e.tensor.shape) != rec["shape"]):
+                    raise DataFormatError(f"checkpoint entry {rec['name']!r} does not match "
+                                          f"rebuilt parameter {e.name!r}")
+                e.tensor.data = np.ascontiguousarray(z[f"param_{pid}"])
+            norms = model.batch_norms()
+            if [bn.name for bn in norms] != meta["bn_buffers"]:
+                raise DataFormatError("checkpoint batch norm buffers do not match the "
+                                      "rebuilt model")
+            for i, bn in enumerate(norms):
+                bn.running_mean = np.ascontiguousarray(z[f"bn_{i}_mean"])
+                bn.running_var = np.ascontiguousarray(z[f"bn_{i}_var"])
+        except KeyError as err:  # a meta field or an array the meta promises is absent
+            raise DataFormatError(f"{path}: checkpoint is incomplete ({err.args[0]})") from None
         extras = meta.get("extras", {})
     return model, extras

@@ -7,7 +7,6 @@ bit-exact reproducibility of training runs.  Tolerances are pinned as
 module constants; a failure here means a shipped guarantee broke.
 """
 
-import dataclasses
 import json
 import os
 import time
@@ -17,13 +16,12 @@ import numpy as np
 import pytest
 
 from wsmsnet import cli, ops
-from wsmsnet.autodiff import Tape, Tensor, using_precision
+from wsmsnet.autodiff import Tensor
 from wsmsnet.cost import cost_report, stage_overhead
 from wsmsnet.data import (SynthScaleConfig, normalize_per_channel,
                           synth_scale_dataset)
 from wsmsnet.gradcheck import run_suite
 from wsmsnet.model import build_model, image_pyramid, load_checkpoint, save_checkpoint
-from wsmsnet.ops import softmax_cross_entropy
 from wsmsnet.specs import WsmsSpec, model_from_config, stage_plan
 from wsmsnet.trainer import TrainConfig, evaluate, train
 
@@ -154,51 +152,11 @@ class TestGradientRules:
 class TestSharingGuarantees:
     """Sharing is real object identity with exactly the promised semantics."""
 
-    def test_clone_gradients_sum_to_shared_gradient(self, tiny_backbone):
-        # untie every shared conv into per-stage clones with identical values:
-        # the loss must not move and each shared gradient must equal the sum
-        # of its clones' gradients to near machine precision (f64)
+    def test_clone_gradients_sum_to_shared_gradient(self, tiny_backbone,
+                                                     check_clone_gradients_sum):
         shared_spec = WsmsSpec(tiny_backbone, stages=2, integration="conv1x1",
                                integration_channels=16, sharing="shared")
-        unshared_spec = dataclasses.replace(shared_spec, sharing="unshared")
-        with using_precision("f64"):
-            shared = build_model(shared_spec, seed=0)
-            unshared = build_model(unshared_spec, seed=1)
-            by_name = {e.name: e for e in shared.params}
-            for e in unshared.params:
-                source = e.name
-                if source not in by_name:
-                    source = source.split(".", 1)[1]
-                e.tensor.data[...] = by_name[source].tensor.data
-
-            rng = np.random.default_rng(10)
-            x = Tensor(rng.standard_normal((4, 3, 32, 32)))
-            labels = np.array([0, 1, 2, 3])
-
-            def grads_of(model):
-                with Tape() as tape:
-                    loss = softmax_cross_entropy(
-                        model.forward(x, training=True), labels)
-                    return tape.backward(loss), loss.item()
-
-            g_shared, loss_shared = grads_of(shared)
-            g_unshared, loss_unshared = grads_of(unshared)
-            assert loss_shared == loss_unshared
-
-            unshared_by_name = {e.name: g_unshared[e.tensor]
-                                for e in unshared.params}
-            checked = 0
-            for e in shared.params:
-                if e.role != "conv-weight" or e.name.startswith("integration"):
-                    continue
-                clones = [g for name, g in unshared_by_name.items()
-                          if name.endswith("." + e.name)]
-                assert clones, e.name
-                np.testing.assert_allclose(g_shared[e.tensor],
-                                           np.sum(clones, axis=0),
-                                           rtol=0, atol=CLONE_GRAD_ATOL)
-                checked += 1
-            assert checked >= 4
+        assert check_clone_gradients_sum(shared_spec, 32, CLONE_GRAD_ATOL) >= 4
 
     def test_batch_norm_stays_private_to_its_stage(self, tiny_wsms_spec, layer_at):
         model = build_model(tiny_wsms_spec, seed=0)

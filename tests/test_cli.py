@@ -193,16 +193,33 @@ def npz_bytes(**arrays) -> bytes:
     return buf.getvalue()
 
 
+def checkpoint_bytes(without: str) -> bytes:
+    """A seed-0 checkpoint of the tiny preset with the array ``without`` left out."""
+    spec = model_from_config(json.loads(Path(TINY_PRESET).read_text())["model"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.npz"
+        save_checkpoint(build_model(spec, seed=0), path)
+        with np.load(path) as z:
+            return npz_bytes(**{key: z[key] for key in z.files if key != without})
+
+
 class TestBadInputFiles:
     @pytest.mark.parametrize("name,content,expected", [
         ("bad.npz", b"not a checkpoint\n", "is not a wsmsnet checkpoint"),
         ("old.npz", npz_bytes(meta=np.frombuffer(b'{"format_version": 99}', dtype=np.uint8)),
          "unsupported checkpoint format version 99"),
+        ("nomodel.npz", npz_bytes(meta=np.frombuffer(b'{"format_version": 1}', dtype=np.uint8)),
+         "checkpoint meta has no model config"),
+        ("noparam.npz", checkpoint_bytes(without="param_0"),
+         "checkpoint is incomplete (param_0"),
+        ("list.npz", npz_bytes(meta=np.frombuffer(b'[1]', dtype=np.uint8)),
+         "checkpoint meta must be an object"),
         ("preds.csv", b"who,what\n1,2\n", "unexpected prediction dump header"),
         ("preds.csv", b"id,true,pred,correct\n1,2,x,0\n", "preds.csv: line 2: expected"),
         ("preds.csv", b"id,true,pred,correct\n0,1,1,1\n1,2,0\n", "preds.csv: line 3: expected"),
         ("dir.npz", None, "Is a directory"),
-    ], ids=["not-a-checkpoint", "other-format-version", "dump-header", "dump-non-integer",
+    ], ids=["not-a-checkpoint", "other-format-version", "meta-without-model",
+            "missing-param-array", "meta-not-an-object", "dump-header", "dump-non-integer",
             "dump-three-columns", "checkpoint-is-a-directory"])
     def test_exits_2(self, tmp_path, capsys, name, content, expected):
         # the directory stands in for any unreadable path: a permission error
@@ -294,15 +311,28 @@ class TestTrainEvalPipeline:
         ({"colour": True}, [], "unknown synth config keys: ['colour']"),
         ({}, ["--epochs", "-1"], "epochs must be >= 0"),
         ({}, ["--seed", "-3"], "seed must be >= 0"),
+        ({"class_count": 3}, [], "data section has 3 classes, model expects 5"),
     ], ids=["negative-noise", "one-scale", "string-class_count", "unknown-key",
-            "negative-epochs", "negative-seed"])
+            "negative-epochs", "negative-seed", "class-count-mismatch"])
     def test_bad_data_or_override_exits_2(self, tmp_path, capsys, data, flags, bad):
         body = json.loads(Path(tiny_synth_config(tmp_path, epochs=0)).read_text())
         body["data"].update(data)
         path = write_config(tmp_path, body, "bad.json")
-        assert main(["train", path, "--out", str(tmp_path / "run"), *flags]) == 2
+        run_dir = tmp_path / "run"
+        assert main(["train", path, "--out", str(run_dir), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and bad in err
+        assert not run_dir.exists()
+
+    def test_eval_on_data_of_another_class_count_exits_2(self, tmp_path, capsys):
+        body = json.loads(Path(tiny_synth_config(tmp_path, epochs=0)).read_text())
+        checkpoint = tmp_path / "model.npz"
+        save_checkpoint(build_model(model_from_config(body["model"]), seed=0), checkpoint)
+        body["data"]["class_count"] = 3
+        path = write_config(tmp_path, body, "three.json")
+        assert main(["eval", str(checkpoint), path]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: config data section has 3 classes, model expects 5")
 
     def test_data_section_not_an_object_exits_2(self, tmp_path, capsys):
         body = json.loads(Path(tiny_synth_config(tmp_path, epochs=0)).read_text())

@@ -27,6 +27,7 @@ from wsmsnet.specs import (FAMILIES, INTEGRATIONS, SHARINGS, WsmsSpec, block_cou
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 INPUT = 8  # three stages leave stage 3 a 2x2 input that still pools once
+CLONE_GRAD_ATOL = 1e-10  # f64 gradients of tiny models, summed over at most three clones
 
 TINY_BACKBONES = {
     "resnet": build_resnet(1, 3, channels=(4, 6, 8)),
@@ -191,6 +192,11 @@ class TestEveryValidSpec:
     @given(wsms_specs(sharing=st.just("shared")))
     def test_truncated_pathways_align_bitwise(self, spec):
         check_truncated_pathways_align(spec)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(wsms_specs(sharing=st.just("shared")))
+    def test_clone_gradients_sum_to_shared_gradient(self, check_clone_gradients_sum, spec):
+        check_clone_gradients_sum(spec, INPUT, CLONE_GRAD_ATOL)
 
 
 class TestCheckpointLayout:

@@ -1,4 +1,5 @@
-"""Print one SHA-256 digest per preset of what seed 0 computes.
+"""Print one SHA-256 digest per preset of what seed 0 computes, then one of
+the gradcheck suite's numbers.
 
 Run it on two commits and compare the listings: equal digests mean an engine
 change left every preset's numbers bit for bit as they were.
@@ -7,7 +8,9 @@ change left every preset's numbers bit for bit as they were.
 
 For each preset in ``presets/``, at seed 0, on seeded random 32x32 inputs,
 the model trains for 2 SGD steps at batch 2 and its final checkpoint file is
-hashed.
+hashed. The last row, ``gradcheck``, hashes ``run_suite(seed=0)`` as a JSON
+list of (case, max relative error) pairs, so a change to a backward rule or
+to the suite shows whether any case's error moved.
 
 The first line, starting with ``#``, names numpy, OpenBLAS, the GEMM kernel
 set OpenBLAS picked for this CPU and ``OPENBLAS_CORETYPE``. Kernel sets round
@@ -34,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from wsmsnet import data, model, specs, trainer
+from wsmsnet.gradcheck import run_suite
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 SEED = 0
@@ -98,6 +102,8 @@ def main() -> None:
     print(header(), flush=True)
     for path in sorted(PRESETS.glob("*.json")):
         print(f"{path.stem:24s} {preset_digest(path)}", flush=True)
+    suite = json.dumps(list(run_suite(seed=SEED).items()))
+    print(f"{'gradcheck':24s} {hashlib.sha256(suite.encode()).hexdigest()}", flush=True)
 
 
 if __name__ == "__main__":
