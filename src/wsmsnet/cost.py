@@ -58,7 +58,6 @@ class CostReport:
 
 def cost_report(spec: WsmsSpec, input_hw: Tuple[int, int] = (32, 32)) -> CostReport:
     """Per-layer parameter and multiplication rows for the whole model."""
-    spec.validate()
     plan = stage_plan(spec)
     h0, w0 = input_hw
     divisor = plan.scale_divisors[-1]

@@ -102,7 +102,7 @@ class CifarLimits:
     train_limit: int = 0
     test_limit: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, limit in asdict(self).items():
             if limit < 0:
                 raise ConfigError(f"{name} must be >= 0, got {limit}")
@@ -170,7 +170,7 @@ class SynthScaleConfig:
     noise: float = 0.05
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 2 <= self.class_count <= len(GLYPHS):
             raise ConfigError(f"class_count must be in [2, {len(GLYPHS)}], "
                               f"got {self.class_count}")
@@ -195,7 +195,7 @@ class SynthScaleConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "SynthScaleConfig":
-        """Read and validate a config's JSON form; any fault raises ConfigError."""
+        """Read a config's JSON form; any fault raises ConfigError."""
         return read_config(cls, cfg, "synth")
 
 
@@ -269,7 +269,6 @@ def synth_scale_dataset(cfg: SynthScaleConfig) -> Tuple[Dataset, Dataset, Datase
     The train split and test_seen draw scales from ``train_scales``; the
     held-out split draws from the disjoint ``test_scales`` range.
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     train = _render_split(cfg, cfg.train_scales, cfg.train_per_class, rng)
     test_seen = _render_split(cfg, cfg.train_scales, cfg.test_per_class, rng)
@@ -301,15 +300,3 @@ def save_synth(out_dir, cfg: SynthScaleConfig) -> dict:
             "sha256": hashlib.sha256(buf).hexdigest()}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest
-
-
-def load_synth(data_dir) -> Tuple[SynthScaleConfig, dict]:
-    """Load a persisted benchmark directory. Returns (config, split datasets)."""
-    data_dir = Path(data_dir)
-    manifest = json.loads((data_dir / "manifest.json").read_text())
-    cfg = SynthScaleConfig.from_dict(manifest["config"])
-    splits = {}
-    for split, info in manifest["splits"].items():
-        ds = load_cifar(data_dir / info["file"], "cifar10")
-        splits[split] = replace(ds, class_count=cfg.class_count)
-    return cfg, splits

@@ -15,7 +15,7 @@ from .autodiff import Tape, Tensor, using_precision
 from . import ops
 from .layers import BatchNorm, Conv2dLayer
 from .model import build_model, run_unit
-from .specs import BnSite, ConfigError, ConvSite, Unit, WsmsSpec, build_resnet
+from .specs import BnSite, ConfigError, ConvSite, ResNet, Unit, WsmsSpec
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
@@ -161,7 +161,7 @@ def random_graph_case(seed: int, depth: int = 6) -> Case:
 
 def tiny_model_case(seed: int) -> Case:
     """End-to-end check through a small two-stage shared model."""
-    backbone = build_resnet(1, class_count=3, channels=(4, 6))
+    backbone = ResNet(n=1, channels=(4, 6), class_count=3)
     spec = WsmsSpec(backbone, stages=2, integration="conv1x1", integration_channels=5)
     model = build_model(spec, seed=seed)
     rng = np.random.default_rng(seed + 100)

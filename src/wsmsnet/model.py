@@ -260,5 +260,7 @@ def load_checkpoint(path):
                 bn.running_var = np.ascontiguousarray(z[f"bn_{i}_var"])
         except KeyError as err:  # a meta field or an array the meta promises is absent
             raise DataFormatError(f"{path}: checkpoint is incomplete ({err.args[0]})") from None
+        except TypeError:  # a meta field of the wrong kind, e.g. a number for a list
+            raise DataFormatError(f"{path}: checkpoint meta is malformed") from None
         extras = meta.get("extras", {})
     return model, extras

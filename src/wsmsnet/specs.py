@@ -5,7 +5,8 @@ blocks; downsampling always happens at the entry of a block, so truncating
 the trailing blocks of any stage leaves every pathway at the same spatial
 extent. A backbone spec holds exactly its family's config settings
 (:class:`ResNet`, :class:`DenseNet`, :class:`ConvNet`), field for field in
-config key order. :func:`stage_units` is the one place a family's layout is
+config key order, and checks them when it is constructed, so a spec that
+exists is valid. :func:`stage_units` is the one place a family's layout is
 spelled out, and the one walk over a spec: the runtime builder instantiates
 the layer sites it yields and the static cost model counts them, so a runtime
 layer's name is its cost row's path.
@@ -71,12 +72,11 @@ def _fit(hint, value):
 
 
 def read_config(cls, cfg, section: str):
-    """Build settings dataclass ``cls`` from its JSON object ``cfg``, then
-    validate it.
+    """Build settings dataclass ``cls`` from its JSON object ``cfg``.
 
     Unknown keys, a missing field that has no default, a value that does not
-    fit its field's annotation and every fault ``validate()`` finds raise
-    ConfigError. Lists are read as tuples.
+    fit its field's annotation and every fault the class's own check finds
+    raise ConfigError. Lists are read as tuples.
     """
     unknown = sorted(set(config_object(cfg, section)) - {f.name for f in fields(cls)})
     if unknown:
@@ -94,12 +94,10 @@ def read_config(cls, cfg, section: str):
             expected = _kind(hint) if plain else f"like {f.default!r}"
             raise ConfigError(f"{section} config: {f.name} must be {expected}, "
                               f"got {value!r}") from None
-    settings = cls(**values)
     try:
-        settings.validate()
+        return cls(**values)
     except ConfigError as err:
         raise ConfigError(f"{section} config: {err}") from None
-    return settings
 
 
 def _check_sizes(class_count: int, stem: int, widths) -> None:
@@ -124,7 +122,7 @@ class ResNet:
     channels: Tuple[int, ...] = (16, 32, 64)
     class_count: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n < 1:
             raise ConfigError(f"resnet units per compartment must be >= 1, got {self.n}")
         if not self.channels:
@@ -150,7 +148,7 @@ class DenseNet:
     stem_channels: int = 16
     class_count: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.growth < 1:
             raise ConfigError(f"densenet growth must be >= 1, got {self.growth}")
         if self.layers_per_block < 1:
@@ -183,8 +181,6 @@ class ConvNet:
         if self.stem_channels is None:
             object.__setattr__(self, "stem_channels",
                                self.block_widths[0] if self.block_widths else 0)
-
-    def validate(self) -> None:
         if not self.block_widths:
             raise ConfigError("conv config needs a non-empty 'block_widths' list")
         if len(self.convs_per_block) != len(self.block_widths):
@@ -234,8 +230,7 @@ class WsmsSpec:
     integration_channels: int = 128
     sharing: str = "shared"
 
-    def validate(self) -> None:
-        self.backbone.validate()
+    def __post_init__(self) -> None:
         k = block_count(self.backbone)
         if self.stages < 1:
             raise ConfigError(f"stages must be >= 1, got {self.stages}")
@@ -266,7 +261,6 @@ class StagePlan:
 
 
 def stage_plan(spec: WsmsSpec) -> StagePlan:
-    spec.validate()
     k = block_count(spec.backbone)
     stages = range(1, spec.stages + 1)
     widths = tuple(block_width(spec.backbone, k - s + 1) for s in stages)
@@ -370,30 +364,6 @@ def integration_unit(spec: WsmsSpec) -> Optional[Unit]:
         BnSite("integration.bn", width)))
 
 
-def _valid(spec):
-    spec.validate()
-    return spec
-
-
-def build_resnet(n: int, class_count: int,
-                 channels: Tuple[int, ...] = ResNet.channels) -> ResNet:
-    return _valid(ResNet(n=n, channels=tuple(channels), class_count=class_count))
-
-
-def build_densenet(growth: int, class_count: int,
-                   layers_per_block: int = DenseNet.layers_per_block,
-                   blocks: int = DenseNet.blocks,
-                   stem_channels: int = DenseNet.stem_channels) -> DenseNet:
-    return _valid(DenseNet(growth=growth, layers_per_block=layers_per_block, blocks=blocks,
-                           stem_channels=stem_channels, class_count=class_count))
-
-
-def build_conv_backbone(stem_channels: int, block_widths: Tuple[int, ...],
-                        convs_per_block, class_count: int) -> ConvNet:
-    return _valid(ConvNet(stem_channels=stem_channels, block_widths=tuple(block_widths),
-                          convs_per_block=convs_per_block, class_count=class_count))
-
-
 def backbone_from_config(cfg: dict) -> BackboneSpec:
     """Read a backbone's settings, picking its class by the ``family`` key."""
     family = config_object(cfg, "backbone").get("family")
@@ -408,7 +378,7 @@ def backbone_to_config(spec: BackboneSpec) -> dict:
 
 
 def model_from_config(cfg: dict) -> WsmsSpec:
-    """Build a validated WsmsSpec from its dict form."""
+    """Build a WsmsSpec from its dict form."""
     cfg = config_object(cfg, "model")
     return read_config(WsmsSpec, {**cfg, "backbone": backbone_from_config(cfg.get("backbone"))},
                        "model")

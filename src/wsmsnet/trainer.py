@@ -34,7 +34,7 @@ class DivergenceError(RuntimeError):
         self.batch = batch
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int
     batch_size: int = 128
@@ -44,7 +44,7 @@ class TrainConfig:
     seed: int = 0
     augment: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -69,7 +69,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "TrainConfig":
-        """Read and validate a config's JSON form; any fault raises ConfigError."""
+        """Read a config's JSON form; any fault raises ConfigError."""
         return read_config(cls, cfg, "train")
 
 
@@ -201,7 +201,6 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
     when ``run_dir`` is given, writes metrics.jsonl, checkpoint-final.npz, and
     checkpoint-best.npz (lowest test error, earliest on ties).
     """
-    config.validate()
     if train_ds.class_count != model.class_count:
         raise ValueError(f"dataset has {train_ds.class_count} classes, model expects "
                          f"{model.class_count}")

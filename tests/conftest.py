@@ -7,7 +7,7 @@ from wsmsnet.autodiff import Tape, Tensor, using_precision
 from wsmsnet.data import SynthScaleConfig, normalize_per_channel, synth_scale_dataset
 from wsmsnet.model import build_model
 from wsmsnet.ops import softmax_cross_entropy
-from wsmsnet.specs import WsmsSpec, build_resnet
+from wsmsnet.specs import ResNet, WsmsSpec
 
 
 @pytest.fixture
@@ -18,7 +18,7 @@ def f64():
 
 @pytest.fixture(scope="session")
 def tiny_backbone():
-    return build_resnet(1, class_count=5, channels=(8, 16))
+    return ResNet(n=1, class_count=5, channels=(8, 16))
 
 
 @pytest.fixture(scope="session")
@@ -101,7 +101,3 @@ def check_clone_gradients_sum():
     shared model's conv gradients with the summed gradients of its unshared
     twin on a batch of four ``size`` x ``size`` images."""
     return _check_clone_gradients_sum
-
-
-def rng_for(name: str, seed: int = 0) -> np.random.Generator:
-    return np.random.default_rng(abs(hash((name, seed))) % (2 ** 32))

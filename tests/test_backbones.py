@@ -1,13 +1,17 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from wsmsnet.autodiff import Tensor
 from wsmsnet.cost import cost_report
+from wsmsnet.data import CifarLimits, SynthScaleConfig
 from wsmsnet.model import build_model
-from wsmsnet.specs import (ConfigError, ConvSite, WsmsSpec, backbone_from_config,
-                           backbone_to_config, block_width, build_conv_backbone,
-                           build_densenet, build_resnet, model_from_config, model_to_config,
-                           stage_plan, stage_units)
+from wsmsnet.specs import (ConfigError, ConvNet, ConvSite, DenseNet, ResNet, WsmsSpec,
+                           backbone_from_config, backbone_to_config, block_width,
+                           model_from_config, model_to_config, stage_plan, stage_units)
+from wsmsnet.trainer import TrainConfig
 
 
 def units_of(backbone, stages=1, stage=1):
@@ -16,7 +20,7 @@ def units_of(backbone, stages=1, stage=1):
 
 class TestResnetSpec:
     def test_compartment_layout(self):
-        spec = build_resnet(18, class_count=10)
+        spec = ResNet(n=18, class_count=10)
         assert spec.family == "resnet"
         units = units_of(spec)
         assert [sum(u.block == b for u in units) for b in (1, 2, 3)] == [18, 18, 18]
@@ -27,25 +31,25 @@ class TestResnetSpec:
 
     def test_depth_accounting(self):
         # stem + 2 convs per unit + classifier = 6n + 2 layers with weights
-        units = units_of(build_resnet(18, 10))
+        units = units_of(ResNet(n=18, class_count=10))
         convs = sum(isinstance(site, ConvSite) for u in units for site in u.sites)
         assert convs + 1 == 110
 
     def test_residual_unit_parameter_share(self):
         # one 16-channel unit: two 3x3 convs plus two bn pairs
-        spec = WsmsSpec(build_resnet(1, 10, channels=(16,)), stages=1)
+        spec = WsmsSpec(ResNet(n=1, class_count=10, channels=(16,)), stages=1)
         per_unit = 2 * (16 * 16 * 9) + 2 * (2 * 16)
         unit_rows = [r for r in cost_report(spec).rows if "block1.unit0" in r.path]
         assert sum(r.params for r in unit_rows) == per_unit == 4672
 
     def test_invalid_unit_count_rejected(self):
         with pytest.raises(ConfigError, match="n"):
-            build_resnet(0, 10)
+            ResNet(n=0, class_count=10)
 
 
 class TestDensenetSpec:
     def test_block_channel_growth(self):
-        spec = build_densenet(24, class_count=10)
+        spec = DenseNet(growth=24, class_count=10)
         units = units_of(spec)
         convs = [site for u in units for site in u.sites if isinstance(site, ConvSite)]
         entries = [next(c for c in convs if c.path.startswith(f"block{b}.")) for b in (1, 2, 3)]
@@ -55,14 +59,14 @@ class TestDensenetSpec:
         assert block_width(spec, 1) == 16 + 32 * 24
 
     def test_first_block_conv_parameter_total(self):
-        spec = WsmsSpec(build_densenet(24, 10), stages=1)
+        spec = WsmsSpec(DenseNet(growth=24, class_count=10), stages=1)
         rows = [r for r in cost_report(spec).rows
                 if r.path.startswith("block1.") and r.kind == "conv"]
         expected = sum(9 * (16 + 24 * i) * 24 for i in range(32))
         assert sum(r.params for r in rows) == expected == 2681856
 
     def test_stage_tail_normalizes_features(self):
-        spec = build_densenet(24, 10)
+        spec = DenseNet(growth=24, class_count=10)
         for stage in (1, 2, 3):
             tail = units_of(spec, 3, stage)[-1]
             assert tail.kind == "tail"
@@ -71,39 +75,40 @@ class TestDensenetSpec:
 
 class TestConvBackbone:
     def test_zero_conv_block_keeps_width(self):
-        spec = build_conv_backbone(8, (8, 8), convs_per_block=(1, 0), class_count=3)
+        spec = ConvNet(stem_channels=8, block_widths=(8, 8), convs_per_block=(1, 0), class_count=3)
         assert spec.convs_per_block[1] == 0
         assert [u.kind for u in units_of(spec) if u.block == 2] == ["pool"]
         assert block_width(spec, 2) == 8
 
     def test_stem_width_is_its_own_setting(self):
-        spec = build_conv_backbone(5, (8, 8), 1, class_count=3)
+        spec = ConvNet(stem_channels=5, block_widths=(8, 8), convs_per_block=1, class_count=3)
         stem, first = units_of(spec)[:2]
         assert stem.sites[0].out_channels == first.sites[0].in_channels == 5
 
     def test_config_takes_one_conv_count_and_a_default_stem(self):
         spec = backbone_from_config({"family": "conv", "block_widths": [8, 12],
                                      "convs_per_block": 2, "class_count": 3})
-        assert spec == build_conv_backbone(8, (8, 12), (2, 2), class_count=3)
+        assert spec == ConvNet(stem_channels=8, block_widths=(8, 12), convs_per_block=(2, 2),
+                               class_count=3)
 
     def test_zero_conv_block_cannot_change_width(self):
         with pytest.raises(ConfigError, match="cannot change width"):
-            build_conv_backbone(8, (8, 16), convs_per_block=(1, 0), class_count=3)
+            ConvNet(stem_channels=8, block_widths=(8, 16), convs_per_block=(1, 0), class_count=3)
 
 
 class TestWsmsSpec:
     def test_stage_count_bounded_by_blocks(self):
-        backbone = build_resnet(2, 10)
+        backbone = ResNet(n=2, class_count=10)
         with pytest.raises(ConfigError, match="exceeds"):
-            WsmsSpec(backbone, stages=4).validate()
+            WsmsSpec(backbone, stages=4)
 
     def test_unknown_integration_rejected(self):
-        backbone = build_resnet(2, 10)
+        backbone = ResNet(n=2, class_count=10)
         with pytest.raises(ConfigError, match="integration"):
-            WsmsSpec(backbone, stages=2, integration="conv5x5").validate()
+            WsmsSpec(backbone, stages=2, integration="conv5x5")
 
     def test_stage_plan_for_three_stages(self):
-        spec = WsmsSpec(build_resnet(18, 10), stages=3, integration="conv1x1")
+        spec = WsmsSpec(ResNet(n=18, class_count=10), stages=3, integration="conv1x1")
         plan = stage_plan(spec)
         assert plan.scale_divisors == (1, 2, 4)
         assert [max(u.block for u in stage_units(spec, s)) for s in (1, 2, 3)] == [3, 2, 1]
@@ -112,11 +117,11 @@ class TestWsmsSpec:
         assert plan.head_channels == 128
 
     def test_stage_plan_without_integration_keeps_concat_width(self):
-        plan = stage_plan(WsmsSpec(build_resnet(18, 10), stages=3))
+        plan = stage_plan(WsmsSpec(ResNet(n=18, class_count=10), stages=3))
         assert plan.head_channels == 112
 
     def test_densenet_concat_width(self):
-        plan = stage_plan(WsmsSpec(build_densenet(24, 10), stages=3))
+        plan = stage_plan(WsmsSpec(DenseNet(growth=24, class_count=10), stages=3))
         assert plan.stage_channels == (2320, 1552, 784)
         assert plan.concat_channels == 4656
 
@@ -141,7 +146,7 @@ class TestConfigRoundTrip:
         assert model_to_config(spec) == model_to_config(again)
 
     def test_backbone_round_trip(self):
-        spec = build_densenet(24, 10)
+        spec = DenseNet(growth=24, class_count=10)
         assert backbone_to_config(backbone_from_config(backbone_to_config(spec))) \
             == backbone_to_config(spec)
 
@@ -150,21 +155,48 @@ class TestConfigRoundTrip:
             backbone_from_config({"family": "resnet", "n": 3})
 
 
+class TestSettingsCheckThemselves:
+    """Every settings class rejects a bad value when it is constructed, so a
+    copy made with ``dataclasses.replace`` is checked too."""
+
+    @pytest.mark.parametrize("valid,change,message", [
+        (ResNet(n=1, class_count=3), {"n": 0},
+         "resnet units per compartment must be >= 1, got 0"),
+        (DenseNet(growth=2, class_count=3), {"growth": 0},
+         "densenet growth must be >= 1, got 0"),
+        (ConvNet(block_widths=(8, 8), class_count=3), {"block_widths": ()},
+         "conv config needs a non-empty 'block_widths' list"),
+        (WsmsSpec(ResNet(n=1, class_count=3)), {"stages": 99},
+         "stages=99 exceeds the backbone's k=3 convolution blocks"),
+        (TrainConfig(epochs=1), {"epochs": -1}, "epochs must be >= 0, got -1"),
+        (SynthScaleConfig(), {"noise": -1}, "noise must be >= 0, got -1"),
+        (CifarLimits(), {"train_limit": -1}, "train_limit must be >= 0, got -1"),
+    ], ids=["ResNet", "DenseNet", "ConvNet", "WsmsSpec", "TrainConfig",
+            "SynthScaleConfig", "CifarLimits"])
+    def test_replace_with_a_bad_value_raises(self, valid, change, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            dataclasses.replace(valid, **change)
+
+    def test_train_config_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            TrainConfig(epochs=1).epochs = 2
+
+
 class TestForwardShapes:
     def test_resnet_stage_output_resolution(self):
-        spec = WsmsSpec(build_resnet(1, 5, channels=(8, 16)), stages=1)
+        spec = WsmsSpec(ResNet(n=1, class_count=5, channels=(8, 16)), stages=1)
         model = build_model(spec, seed=0)
         feats = model.stage_features(Tensor(np.zeros((2, 3, 32, 32))))
         assert feats[0].shape == (2, 16, 16, 16)
 
     def test_densenet_forward_shape(self):
-        spec = WsmsSpec(build_densenet(4, 7, layers_per_block=2, blocks=2), stages=1)
+        spec = WsmsSpec(DenseNet(growth=4, class_count=7, layers_per_block=2, blocks=2), stages=1)
         model = build_model(spec, seed=0)
         logits = model.forward(Tensor(np.zeros((2, 3, 16, 16))))
         assert logits.shape == (2, 7)
 
     def test_all_stages_share_final_resolution(self):
-        spec = WsmsSpec(build_resnet(2, 10), stages=3)
+        spec = WsmsSpec(ResNet(n=2, class_count=10), stages=3)
         model = build_model(spec, seed=0)
         feats = model.stage_features(Tensor(np.zeros((1, 3, 32, 32))))
         assert [f.shape[2:] for f in feats] == [(8, 8)] * 3

@@ -193,14 +193,20 @@ def npz_bytes(**arrays) -> bytes:
     return buf.getvalue()
 
 
-def checkpoint_bytes(without: str) -> bytes:
-    """A seed-0 checkpoint of the tiny preset with the array ``without`` left out."""
+def checkpoint_bytes(without: str = "", edit_meta=None) -> bytes:
+    """A seed-0 checkpoint of the tiny preset with the array ``without`` left
+    out and its meta object changed in place by ``edit_meta``."""
     spec = model_from_config(json.loads(Path(TINY_PRESET).read_text())["model"])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.npz"
         save_checkpoint(build_model(spec, seed=0), path)
         with np.load(path) as z:
-            return npz_bytes(**{key: z[key] for key in z.files if key != without})
+            arrays = {key: z[key] for key in z.files if key != without}
+    if edit_meta is not None:
+        meta = json.loads(arrays["meta"].tobytes().decode())
+        edit_meta(meta)
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    return npz_bytes(**arrays)
 
 
 class TestBadInputFiles:
@@ -214,12 +220,18 @@ class TestBadInputFiles:
          "checkpoint is incomplete (param_0"),
         ("list.npz", npz_bytes(meta=np.frombuffer(b'[1]', dtype=np.uint8)),
          "checkpoint meta must be an object"),
+        ("params.npz", checkpoint_bytes(edit_meta=lambda m: m.update(params=5)),
+         "checkpoint meta is malformed"),
+        ("entries.npz", checkpoint_bytes(
+            edit_meta=lambda m: m.update(params=[p["name"] for p in m["params"]])),
+         "checkpoint meta is malformed"),
         ("preds.csv", b"who,what\n1,2\n", "unexpected prediction dump header"),
         ("preds.csv", b"id,true,pred,correct\n1,2,x,0\n", "preds.csv: line 2: expected"),
         ("preds.csv", b"id,true,pred,correct\n0,1,1,1\n1,2,0\n", "preds.csv: line 3: expected"),
         ("dir.npz", None, "Is a directory"),
     ], ids=["not-a-checkpoint", "other-format-version", "meta-without-model",
-            "missing-param-array", "meta-not-an-object", "dump-header", "dump-non-integer",
+            "missing-param-array", "meta-not-an-object", "params-not-a-list",
+            "param-entry-not-an-object", "dump-header", "dump-non-integer",
             "dump-three-columns", "checkpoint-is-a-directory"])
     def test_exits_2(self, tmp_path, capsys, name, content, expected):
         # the directory stands in for any unreadable path: a permission error

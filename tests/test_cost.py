@@ -4,11 +4,10 @@ import pytest
 
 from wsmsnet.cost import cost_report, stage_overhead
 from wsmsnet.model import build_model
-from wsmsnet.specs import (WsmsSpec, build_conv_backbone, build_densenet,
-                           build_resnet)
+from wsmsnet.specs import ConvNet, DenseNet, ResNet, WsmsSpec
 
-RESNET = build_resnet(18, 10)
-DENSENET = build_densenet(24, 10)
+RESNET = ResNet(n=18, class_count=10)
+DENSENET = DenseNet(growth=24, class_count=10)
 
 # frozen reference totals for the residual family at depth 110 and its
 # multi-stage variants (input 32x32, three stages)
@@ -36,14 +35,14 @@ class TestParameterTotals:
     @pytest.mark.parametrize("key,total", sorted(RESNET_PARAM_TOTALS.items()))
     def test_residual_family(self, key, total):
         _, n, stages, integration, sharing = key
-        spec = WsmsSpec(build_resnet(n, 10), stages, integration,
+        spec = WsmsSpec(ResNet(n=n, class_count=10), stages, integration,
                         sharing=sharing)
         assert cost_report(spec).total_params == total
 
     @pytest.mark.parametrize("key,total", sorted(DENSENET_PARAM_TOTALS.items()))
     def test_dense_family(self, key, total):
         growth, stages, integration, sharing = key
-        spec = WsmsSpec(build_densenet(growth, 10), stages, integration,
+        spec = WsmsSpec(DenseNet(growth=growth, class_count=10), stages, integration,
                         sharing=sharing)
         assert cost_report(spec).total_params == total
 
@@ -72,7 +71,7 @@ class TestMultiplicationTotals:
         assert shared.total_mults == unshared.total_mults
 
     def test_conv_mults_scale_quadratically_with_resolution(self):
-        spec = WsmsSpec(build_resnet(1, 5, channels=(8, 16)), stages=1)
+        spec = WsmsSpec(ResNet(n=1, class_count=5, channels=(8, 16)), stages=1)
         small = cost_report(spec, (16, 16)).total_mults
         large = cost_report(spec, (32, 32)).total_mults
         assert large == 4 * small
@@ -87,12 +86,13 @@ class TestMultiplicationTotals:
 
 class TestStaticDynamicAgreement:
     @pytest.mark.parametrize("spec", [
-        WsmsSpec(build_resnet(1, 5, channels=(8, 16)), 1),
-        WsmsSpec(build_resnet(1, 5, channels=(8, 16)), 2, "conv1x1", 16),
-        WsmsSpec(build_resnet(2, 7), 3, "conv3x3", 32),
-        WsmsSpec(build_resnet(2, 7), 2, "conv1x1", 32, sharing="unshared"),
-        WsmsSpec(build_densenet(4, 5, layers_per_block=3, blocks=2), 2, "conv1x1", 8),
-        WsmsSpec(build_conv_backbone(8, (8, 12), 1, 5), 2),
+        WsmsSpec(ResNet(n=1, class_count=5, channels=(8, 16)), 1),
+        WsmsSpec(ResNet(n=1, class_count=5, channels=(8, 16)), 2, "conv1x1", 16),
+        WsmsSpec(ResNet(n=2, class_count=7), 3, "conv3x3", 32),
+        WsmsSpec(ResNet(n=2, class_count=7), 2, "conv1x1", 32, sharing="unshared"),
+        WsmsSpec(DenseNet(growth=4, class_count=5, layers_per_block=3, blocks=2), 2, "conv1x1", 8),
+        WsmsSpec(ConvNet(stem_channels=8, block_widths=(8, 12), convs_per_block=1,
+                         class_count=5), 2),
     ], ids=["tiny-1", "tiny-2", "res-3x3", "res-unshared", "dense", "plain-conv"])
     def test_count_matches_instantiated_store(self, spec):
         assert cost_report(spec).total_params == build_model(spec, 0).param_count()
@@ -116,7 +116,7 @@ class TestReportStructure:
         assert stage2_conv_mults > 0
 
     def test_csv_round_trips_row_count(self):
-        report = cost_report(WsmsSpec(build_resnet(1, 5, channels=(8, 16)), 2,
+        report = cost_report(WsmsSpec(ResNet(n=1, class_count=5, channels=(8, 16)), 2,
                                       "conv1x1", 16), (32, 32))
         buf = io.StringIO()
         report.write_csv(buf)

@@ -5,7 +5,7 @@ import pytest
 
 from wsmsnet.data import (GLYPHS, DataFormatError, Dataset, SynthScaleConfig,
                           apply_channel_stats, augment, channel_stats,
-                          decode_cifar, encode_cifar, load_cifar, load_synth,
+                          decode_cifar, encode_cifar, load_cifar,
                           normalize_per_channel, render_glyph, save_synth,
                           synth_scale_dataset)
 
@@ -176,34 +176,34 @@ class TestSynthBenchmark:
 
     def test_overlapping_scale_ranges_rejected(self):
         with pytest.raises(ValueError, match="disjoint"):
-            SynthScaleConfig(train_scales=(0.5, 1.0),
-                             test_scales=(0.3, 0.6)).validate()
+            SynthScaleConfig(train_scales=(0.5, 1.0), test_scales=(0.3, 0.6))
 
     def test_unresolvable_scale_rejected(self):
         with pytest.raises(ValueError, match="2 pixels"):
-            SynthScaleConfig(image_size=8, test_scales=(0.05, 0.1),
-                             train_scales=(0.6, 1.0)).validate()
+            SynthScaleConfig(image_size=8, test_scales=(0.05, 0.1), train_scales=(0.6, 1.0))
 
     def test_class_count_bounds(self):
         with pytest.raises(ValueError, match="class_count"):
-            SynthScaleConfig(class_count=1).validate()
+            SynthScaleConfig(class_count=1)
         with pytest.raises(ValueError, match="class_count"):
-            SynthScaleConfig(class_count=6).validate()
+            SynthScaleConfig(class_count=6)
 
     def test_save_and_load_round_trip(self, tmp_path):
         cfg = SynthScaleConfig(train_per_class=5, test_per_class=2, seed=3)
         manifest = save_synth(tmp_path, cfg)
         assert set(manifest["splits"]) == {"train", "test_seen", "test_held_out"}
-        loaded_cfg, splits = load_synth(tmp_path)
+        saved = json.loads((tmp_path / "manifest.json").read_text())
+        loaded_cfg = SynthScaleConfig.from_dict(saved["config"])
         assert loaded_cfg == cfg
+        assert loaded_cfg.class_count == 5
         fresh = dict(zip(("train", "test_seen", "test_held_out"),
                          synth_scale_dataset(cfg)))
-        for split, ds in splits.items():
+        for split, info in saved["splits"].items():
+            ds = load_cifar(tmp_path / info["file"])
             reference = np.clip(np.rint(fresh[split].images * 255.0),
                                 0, 255).astype(np.float32) / 255.0
             np.testing.assert_allclose(ds.images, reference, atol=1e-7)
             np.testing.assert_array_equal(ds.labels, fresh[split].labels)
-            assert ds.class_count == 5
 
     def test_manifest_digests_match_files(self, tmp_path):
         import hashlib

@@ -21,19 +21,20 @@ from wsmsnet import layers
 from wsmsnet.autodiff import Tensor
 from wsmsnet.cost import cost_report
 from wsmsnet.model import build_model, image_pyramid, run_unit
-from wsmsnet.specs import (FAMILIES, INTEGRATIONS, SHARINGS, WsmsSpec, block_count,
-                           build_conv_backbone, build_densenet, build_resnet, integration_unit,
-                           model_from_config, model_to_config, stage_units)
+from wsmsnet.specs import (FAMILIES, INTEGRATIONS, SHARINGS, ConvNet, DenseNet, ResNet,
+                           WsmsSpec, block_count, integration_unit, model_from_config,
+                           model_to_config, stage_units)
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 INPUT = 8  # three stages leave stage 3 a 2x2 input that still pools once
 CLONE_GRAD_ATOL = 1e-10  # f64 gradients of tiny models, summed over at most three clones
 
 TINY_BACKBONES = {
-    "resnet": build_resnet(1, 3, channels=(4, 6, 8)),
-    "densenet": build_densenet(2, 3, layers_per_block=2, blocks=3, stem_channels=4),
+    "resnet": ResNet(n=1, class_count=3, channels=(4, 6, 8)),
+    "densenet": DenseNet(growth=2, class_count=3, layers_per_block=2, blocks=3, stem_channels=4),
     # the middle block holds no conv, only its entry pooling
-    "conv": build_conv_backbone(4, (4, 4, 6), (1, 0, 2), 3),
+    "conv": ConvNet(stem_channels=4, block_widths=(4, 4, 6), convs_per_block=(1, 0, 2),
+                    class_count=3),
 }
 GRID = {
     f"{family}-{stages}-{integration}-{sharing}":
@@ -156,17 +157,20 @@ def backbones(draw):
     class_count = draw(st.integers(2, 4))
     if family == "resnet":
         widths = sorted(draw(st.lists(WIDTHS, min_size=k, max_size=k)))
-        return build_resnet(draw(st.integers(1, 2)), class_count, tuple(widths))
+        return ResNet(n=draw(st.integers(1, 2)), class_count=class_count,
+                      channels=tuple(widths))
     if family == "densenet":
-        return build_densenet(draw(st.integers(1, 3)), class_count,
-                              draw(st.integers(1, 2)), k, draw(WIDTHS))
+        return DenseNet(growth=draw(st.integers(1, 3)), class_count=class_count,
+                        layers_per_block=draw(st.integers(1, 2)), blocks=k,
+                        stem_channels=draw(WIDTHS))
     stem = width = draw(WIDTHS)
     widths, convs = [], []
     for _ in range(k):
         convs.append(draw(st.integers(0, 2)))
         width = draw(WIDTHS) if convs[-1] else width
         widths.append(width)
-    return build_conv_backbone(stem, tuple(widths), tuple(convs), class_count)
+    return ConvNet(stem_channels=stem, block_widths=tuple(widths), convs_per_block=tuple(convs),
+                   class_count=class_count)
 
 
 @st.composite

@@ -237,10 +237,10 @@ class TestEvaluation:
             100.0 * sum(1 - r[3] for r in rows) / len(rows))
 
     def test_class_count_mismatch_rejected(self, small_synth):
-        from wsmsnet.specs import WsmsSpec, build_resnet
+        from wsmsnet.specs import ResNet, WsmsSpec
 
         _, seen, _ = small_synth
-        other = build_model(WsmsSpec(build_resnet(1, 3, channels=(8,)), 1), 0)
+        other = build_model(WsmsSpec(ResNet(n=1, class_count=3, channels=(8,)), 1), 0)
         with pytest.raises(ValueError, match="classes"):
             evaluate(other, seen)
 

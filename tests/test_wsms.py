@@ -5,7 +5,7 @@ from wsmsnet import ops
 from wsmsnet.autodiff import Tensor
 from wsmsnet.cost import cost_report
 from wsmsnet.model import build_model, image_pyramid
-from wsmsnet.specs import WsmsSpec, build_resnet
+from wsmsnet.specs import ResNet, WsmsSpec
 
 
 def batch(shape, seed=0):
@@ -119,7 +119,7 @@ class TestWeightSharing:
 
 @pytest.fixture(scope="module")
 def backbone():
-    return build_resnet(18, 10)
+    return ResNet(n=18, class_count=10)
 
 
 class TestParameterOrdering:
