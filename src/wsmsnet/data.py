@@ -121,8 +121,10 @@ def channel_stats(images: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def apply_channel_stats(ds: Dataset, mean: np.ndarray, std: np.ndarray) -> Dataset:
-    images = (ds.images - mean[None, :, None, None]) / std[None, :, None, None]
-    return replace(ds, images=images.astype(np.float32))
+    """A copy of ``ds`` with float32 images ``(x - mean) / std`` per channel."""
+    images = ds.images - mean[None, :, None, None]
+    images /= std[None, :, None, None]
+    return replace(ds, images=images.astype(np.float32, copy=False))
 
 
 def normalize_per_channel(train: Dataset, *others: Dataset):
@@ -199,7 +201,7 @@ class SynthScaleConfig:
         return read_config(cls, cfg, "synth")
 
 
-def _glyph_mask(glyph: str, dx: np.ndarray, dy: np.ndarray, r: float) -> np.ndarray:
+def _glyph_mask(glyph: str, dx: np.ndarray, dy: np.ndarray, r: np.ndarray) -> np.ndarray:
     if glyph == "disc":
         return dx * dx + dy * dy <= r * r
     if glyph == "ring":
@@ -222,45 +224,84 @@ def _glyph_mask(glyph: str, dx: np.ndarray, dy: np.ndarray, r: float) -> np.ndar
     raise ValueError(f"unknown glyph {glyph!r}")
 
 
-def render_glyph(glyph: str, size: int, scale: float, cx: float, cy: float,
-                 brightness: float, supersample: int = 3) -> np.ndarray:
-    """Anti-aliased (H,W) coverage map in [0, brightness]."""
+def render_glyph(glyph: str, size: int, scale, cx, cy, brightness,
+                 supersample: int = 3) -> np.ndarray:
+    """Anti-aliased coverage maps in [0, brightness], float32.
+
+    ``scale``, ``cx``, ``cy`` and ``brightness`` are scalars, giving one (H,W)
+    map, or arrays of one shape S, giving S + (H,W) maps. Element i of an
+    array call equals the scalar call with element i, bit for bit.
+    """
+    scale, cx, cy, brightness = (np.asarray(v, dtype=np.float64)[..., None, None]
+                                 for v in (scale, cx, cy, brightness))
     r = scale * (size / 2.0 - 2.0)
-    if 2.0 * r < 2.0:
-        raise ValueError(f"scale {scale} renders a glyph under 2 pixels wide")
+    if (2.0 * r < 2.0).any():
+        raise ValueError(f"scale {scale.min()} renders a glyph under 2 pixels wide")
     ss = supersample
     coords = (np.arange(size * ss) + 0.5) / ss
-    ys = coords[:, None] - cy
-    xs = coords[None, :] - cx
-    mask = _glyph_mask(glyph, np.broadcast_to(xs, (size * ss, size * ss)),
-                       np.broadcast_to(ys, (size * ss, size * ss)), r)
-    coverage = mask.reshape(size, ss, size, ss).mean(axis=(1, 3))
-    return (coverage * brightness).astype(np.float32)
+    mask = _glyph_mask(glyph, coords - cx, coords[:, None] - cy, r)
+    # Hits per pixel as small integers; dividing by ss*ss is the float mean.
+    hits = mask.reshape(*mask.shape[:-2], size, ss, size, ss)
+    counts = np.zeros(hits.shape[:-4] + (size, size), dtype=np.uint8)
+    for i in range(ss):
+        for j in range(ss):
+            counts += hits[..., i, :, j]
+    return (counts / (ss * ss) * brightness).astype(np.float32)
+
+
+RENDER_CHUNK = 64  # examples drawn, rendered and stored per call
+
+
+def _permute_in_place(a: np.ndarray, order) -> None:
+    """Set ``a[:] = a[order]`` by walking the cycles of ``order``, one row held."""
+    done = np.zeros(len(order), dtype=bool)
+    for start in range(len(order)):
+        if done[start]:
+            continue
+        held = a[start].copy()
+        k = start
+        while order[k] != start:
+            a[k] = a[order[k]]
+            done[k] = True
+            k = order[k]
+        a[k] = held
+        done[k] = True
 
 
 def _render_split(cfg: SynthScaleConfig, scales: Tuple[float, float],
                   per_class: int, rng: np.random.Generator) -> Dataset:
+    """Render ``per_class`` examples of each class, then shuffle them.
+
+    Each example draws its scale, centre x, centre y and brightness, then its
+    (3,H,W) noise, in that order, exactly as one example at a time would; the
+    examples of a class are then rendered and stored a chunk at a time.
+    """
     size = cfg.image_size
     n = per_class * cfg.class_count
     images = np.empty((n, 3, size, size), dtype=np.float32)
-    labels = np.empty(n, dtype=np.int64)
+    params = np.empty((4, RENDER_CHUNK))  # scale, cx, cy, brightness
+    noise = np.empty((RENDER_CHUNK, 3, size, size))
     idx = 0
     for label in range(cfg.class_count):
-        for _ in range(per_class):
-            s = float(rng.uniform(scales[0], scales[1]))
-            r = s * (size / 2.0 - 2.0)
-            margin = r + 1.0
-            cx = float(rng.uniform(margin, size - margin))
-            cy = float(rng.uniform(margin, size - margin))
-            brightness = float(rng.uniform(0.75, 1.0))
-            plane = render_glyph(GLYPHS[label], size, s, cx, cy, brightness)
-            noise = rng.normal(0.0, cfg.noise, size=(3, size, size))
-            images[idx] = np.clip(plane[None, :, :] + noise, 0.0, 1.0)
-            labels[idx] = label
-            idx += 1
+        for first in range(0, per_class, RENDER_CHUNK):
+            m = min(RENDER_CHUNK, per_class - first)
+            for i in range(m):
+                s = rng.uniform(scales[0], scales[1])
+                margin = s * (size / 2.0 - 2.0) + 1.0
+                params[:, i] = (s, rng.uniform(margin, size - margin),
+                                rng.uniform(margin, size - margin), rng.uniform(0.75, 1.0))
+                rng.standard_normal(out=noise[i])
+            planes = render_glyph(GLYPHS[label], size, *params[:, :m])
+            chunk = noise[:m]
+            chunk *= cfg.noise
+            chunk += planes[:, None]
+            np.clip(chunk, 0.0, 1.0, out=chunk)
+            images[idx:idx + m] = chunk
+            idx += m
     order = rng.permutation(n)
-    return Dataset(np.ascontiguousarray(images[order]), labels[order],
-                   np.arange(n, dtype=np.int64), cfg.class_count)
+    _permute_in_place(images, order.tolist())
+    labels = np.repeat(np.arange(cfg.class_count, dtype=np.int64), per_class)[order]
+    return Dataset(images, labels, np.arange(n, dtype=np.int64), cfg.class_count)
 
 
 def synth_scale_dataset(cfg: SynthScaleConfig) -> Tuple[Dataset, Dataset, Dataset]:

@@ -121,10 +121,11 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     if recording(x, weight):
         def bwd(g):
             g2 = g.reshape(n, cout, p)
-            # Per-example weight gradients are added in batch order onto
-            # zeros, which is how .sum(axis=0) reduces a stacked product.
-            dw = np.zeros((cout, k), dtype=np.result_type(g2, dtype))
-            part = np.empty((block, cout, k), dtype=dw.dtype)
+            # Per-example weight gradients, each cols @ g^T as (k, cout), are
+            # added in batch order onto zeros, which is how .sum(axis=0)
+            # reduces a stacked product; dw is transposed once at the end.
+            dw = np.zeros((k, cout), dtype=np.result_type(g2, dtype))
+            part = np.empty((block, k, cout), dtype=dw.dtype)
             dx = None
             if x.requires_grad:
                 dx = np.zeros((n, cin, h, w), dtype=np.result_type(w2, g2))
@@ -134,14 +135,14 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
             for s, cb in _lowered(x.data, block, kh, kw, stride, padding, oh, ow):
                 gb = g2[s:s + block]
                 m = len(gb)
-                np.matmul(gb, cb.transpose(0, 2, 1), out=part[:m])
+                np.matmul(cb, gb.transpose(0, 2, 1), out=part[:m])
                 for row in part[:m]:
                     dw += row
                 if dx is None:
                     continue
                 np.matmul(w2.T, gb, out=dcols[:m])
                 _from_columns(dcols[:m], dx[s:s + m], *taps, oh, ow)
-            return dx, dw.reshape(weight.shape)
+            return dx, dw.T.reshape(weight.shape)
         push((x, weight), out, bwd)
     return out
 

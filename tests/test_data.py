@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -81,6 +82,22 @@ class TestNormalization:
         expected = (other.images - mean[None, :, None, None]) / std[None, :, None, None]
         np.testing.assert_allclose(other_n.images, expected, rtol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_apply_channel_stats_copies_and_keeps_the_formula(self, dtype):
+        rng = np.random.default_rng(6)
+        images = rng.standard_normal((5, 3, 4, 4)).astype(dtype)
+        before = images.copy()
+        mean = np.array([0.1, -0.2, 0.3], dtype=np.float32)
+        std = np.array([0.5, 1.5, 2.0], dtype=np.float32)
+        ds = Dataset(images, np.zeros(5, dtype=np.int64), np.arange(5), 2)
+        out = apply_channel_stats(ds, mean, std)
+        expected = ((images - mean[None, :, None, None])
+                    / std[None, :, None, None]).astype(np.float32)
+        assert out.images.dtype == np.float32
+        assert out.images.tobytes() == expected.tobytes()
+        assert ds.images is images
+        assert images.tobytes() == before.tobytes()
+
     def test_zero_variance_channel_clamps_and_warns(self, caplog):
         images = np.zeros((4, 3, 2, 2), dtype=np.float32)
         images[:, 0] = 1.0  # channel 0 constant
@@ -148,8 +165,57 @@ class TestGlyphRendering:
         with pytest.raises(ValueError, match="2 pixels"):
             render_glyph("disc", 8, 0.05, 4.0, 4.0, 1.0)
 
+    @pytest.mark.parametrize("glyph", GLYPHS)
+    def test_array_call_equals_stacked_scalar_calls(self, glyph):
+        rng = np.random.default_rng(7)
+        scale = rng.uniform(0.3, 1.0, size=(2, 3))
+        cx, cy = rng.uniform(12.0, 20.0, size=(2, 2, 3))
+        brightness = rng.uniform(0.75, 1.0, size=(2, 3))
+        planes = render_glyph(glyph, 32, scale, cx, cy, brightness)
+        expected = np.stack([render_glyph(glyph, 32, *args) for args in
+                             zip(*(v.ravel() for v in (scale, cx, cy, brightness)))])
+        assert planes.shape == (2, 3, 32, 32)
+        assert planes.dtype == expected.dtype == np.float32
+        assert planes.reshape(6, 32, 32).tobytes() == expected.tobytes()
+
+    def test_array_call_rejects_any_sub_resolution_scale(self):
+        scale = np.array([0.9, 0.8, 0.05, 0.7])
+        ones = np.full(4, 4.0)
+        with pytest.raises(ValueError, match="2 pixels"):
+            render_glyph("disc", 8, scale, ones, ones, ones)
+
+
+# SHA-256 of the synthetic splits' bytes, recorded with numpy 2.4.6 before the
+# renderer drew examples in chunks: the images and labels of the three splits
+# in order, then their normalize_per_channel images. The small config's
+# per-class counts end partway through a render chunk, and noise=0.0 meets
+# the -0.0 products of the noise draw.
+PINNED_SYNTH = [
+    (SynthScaleConfig(seed=0),
+     "b1ab4034f32a0ff101252254bf489444e3c62cf4979d1f9e392cba36ba6aebcd",
+     "53e8938d516ab5494d266994d9466baf06e544ccfe8fb1f4e24b2bdf28f23e0d"),
+    (SynthScaleConfig(image_size=16, class_count=3, train_per_class=37,
+                      test_per_class=3, noise=0.0),
+     "3f1444cf5efb70121b42209746bd02e0d1a610bde793394a7ea770d05962110a",
+     "75112dfbb2c1be0be59aa70b9c2c6acb689af451e9498deaa449671c019271e2"),
+]
+
+
+def sha256_of(arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
 
 class TestSynthBenchmark:
+    @pytest.mark.parametrize("cfg,raw,normed", PINNED_SYNTH, ids=["seed0", "small"])
+    def test_bytes_match_pinned_digests(self, cfg, raw, normed):
+        splits = synth_scale_dataset(cfg)
+        train, others, _, _ = normalize_per_channel(*splits)
+        assert sha256_of(a for ds in splits for a in (ds.images, ds.labels)) == raw
+        assert sha256_of(ds.images for ds in (train, *others)) == normed
+
     def test_generation_is_deterministic(self):
         cfg = SynthScaleConfig(train_per_class=6, test_per_class=3, seed=11)
         first = synth_scale_dataset(cfg)

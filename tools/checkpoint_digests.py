@@ -1,5 +1,5 @@
 """Print one SHA-256 digest per preset of what seed 0 computes, then one of
-the gradcheck suite's numbers.
+the gradcheck suite's numbers and one of the synthetic benchmark's data.
 
 Run it on two commits and compare the listings: equal digests mean an engine
 change left every preset's numbers bit for bit as they were.
@@ -8,9 +8,12 @@ change left every preset's numbers bit for bit as they were.
 
 For each preset in ``presets/``, at seed 0, on seeded random 32x32 inputs,
 the model trains for 2 SGD steps at batch 2 and its final checkpoint file is
-hashed. The last row, ``gradcheck``, hashes ``run_suite(seed=0)`` as a JSON
+hashed. The ``gradcheck`` row hashes ``run_suite(seed=0)`` as a JSON
 list of (case, max relative error) pairs, so a change to a backward rule or
-to the suite shows whether any case's error moved.
+to the suite shows whether any case's error moved. The last row, ``synth``,
+hashes the images and labels of the seed-0 ``synth_scale_dataset`` splits
+after ``normalize_per_channel``, in split order, so a change to the renderer
+or to normalisation shows whether any byte of the data moved.
 
 The first line, starting with ``#``, names numpy, OpenBLAS, the GEMM kernel
 set OpenBLAS picked for this CPU and ``OPENBLAS_CORETYPE``. Kernel sets round
@@ -64,6 +67,17 @@ def preset_digest(path: Path) -> str:
         return hashlib.sha256((Path(tmp) / "checkpoint-final.npz").read_bytes()).hexdigest()
 
 
+def synth_digest() -> str:
+    """Hex digest of the seed-0 synthetic splits after normalisation."""
+    splits = data.synth_scale_dataset(data.SynthScaleConfig(seed=SEED))
+    train, others, _, _ = data.normalize_per_channel(*splits)
+    digest = hashlib.sha256()
+    for ds in (train, *others):
+        digest.update(ds.images.tobytes())
+        digest.update(ds.labels.tobytes())
+    return digest.hexdigest()
+
+
 def openblas_corename() -> str:
     """The kernel set of the OpenBLAS that numpy loaded, or ``unknown``.
 
@@ -104,6 +118,7 @@ def main() -> None:
         print(f"{path.stem:24s} {preset_digest(path)}", flush=True)
     suite = json.dumps(list(run_suite(seed=SEED).items()))
     print(f"{'gradcheck':24s} {hashlib.sha256(suite.encode()).hexdigest()}", flush=True)
+    print(f"{'synth':24s} {synth_digest()}", flush=True)
 
 
 if __name__ == "__main__":
