@@ -45,9 +45,13 @@ class Tensor:
     identity, which is what makes a gradient map keyed by Tensor well defined.
     A recorded op's output points at the node that produced it; nothing on
     the tape points back at the output.
+
+    ``recompute``, when an op sets it, returns ``data`` again bit for bit,
+    built only from arrays that the tape already holds, so a backward that
+    reads this tensor can keep the function in place of the array.
     """
 
-    __slots__ = ("data", "requires_grad", "_node")
+    __slots__ = ("data", "requires_grad", "_node", "recompute")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype if dtype is not None else default_dtype())
@@ -56,6 +60,7 @@ class Tensor:
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self._node: Optional["_Node"] = None
+        self.recompute: Optional[Callable[[], np.ndarray]] = None
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -132,15 +137,17 @@ class Tape:
         Each node holds its backward closure plus, per input, the input's
         producer node or the tracked leaf itself; it holds no tensor of its
         own. So an activation stays alive only while a closure reads it: a
-        conv or batch norm keeps its input, a ReLU its output, and an ``add``
-        nothing. What backward needs beyond that, such as a conv's im2col
-        columns or batch norm's normalized input, it computes again, so ops
-        never write their recorded inputs in place. Nodes point at the tape
-        and closures at tensors that point at their nodes, so an unreleased
-        tape is a reference cycle holding the whole batch until the cycle
-        collector happens to run; releasing frees every node's closure and
-        inputs, which breaks the cycle and lets plain refcounting reclaim the
-        batch at once. Idempotent.
+        batch norm keeps its input, a conv its input or that input's
+        ``recompute``, a ReLU its output or, over a batch norm, nothing but
+        its input's ``recompute``, and an ``add`` nothing. What backward needs
+        beyond that, such as a conv's im2col columns, batch norm's normalized
+        input or a ReLU's mask over it, it computes again, so ops never write
+        their recorded inputs in place. Nodes point at the tape and closures
+        at tensors that point at their nodes, so an unreleased tape is a
+        reference cycle holding the whole batch until the cycle collector
+        happens to run; releasing frees every node's closure and inputs,
+        which breaks the cycle and lets plain refcounting reclaim the batch
+        at once. Idempotent.
         """
         for node in self.nodes:
             node.free()
@@ -207,7 +214,8 @@ def push(inputs: Sequence[Optional[Tensor]], out: Tensor, fn: Callable) -> None:
 
     ``fn`` maps the output's gradient to one gradient (or None) per input. It
     must not capture ``out`` itself, which would make the output and its node
-    a cycle; an op that reads its output captures ``out.data``.
+    a cycle; an op that reads its output captures ``out.data``, or, like a
+    ReLU over a batch norm, a function that computes the output again.
     """
     tape = Tape._active
     out.requires_grad = True

@@ -42,24 +42,26 @@ def _lowered(x: np.ndarray, block: int, kh: int, kw: int, stride: int, padding: 
 
     Yields ``(start, columns)`` with ``columns`` (b, C*kh*kw, OH*OW) the block
     of examples from ``start``; every block is lowered into the same buffer, so
-    each must be used before the next is drawn. With padding, each block is
-    first copied into the interior of a buffer whose border is zero and never
-    written.
+    each must be used before the next is drawn. For each kernel column ``j``
+    the block is first copied once into its own (b, C, H+2p, OW) buffer, holding
+    input column ``j - p + stride*o`` at output column ``o`` between zero rows
+    and columns; those borders are zeroed once and never written. Each tap row
+    ``i`` is then one copy of rows ``i, i+stride, ...`` of that buffer, at
+    stride 1 one contiguous run per channel.
     """
     n, c, h, w = x.shape
     cols = np.empty((block, c * kh * kw, oh * ow), dtype=x.dtype)
-    padded = (np.zeros((block, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-              if padding else None)
+    shifted = np.zeros((kw, block, c, h + 2 * padding, ow), dtype=x.dtype)
+    col_taps = [_tap_range(j, padding, stride, ow, w) for j in range(kw)]
     for s in range(0, n, block):
         src = x[s:s + block]
         b = len(src)
-        if padding:
-            padded[:b, :, padding:padding + h, padding:padding + w] = src
-            src = padded[:b]
         c6 = cols[:b].reshape(b, c, kh, kw, oh, ow)
-        for i in range(kh):
-            for j in range(kw):
-                c6[:, :, i, j] = src[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+        for j, (in_cols, out_cols) in enumerate(col_taps):
+            padded = shifted[j, :b]
+            padded[:, :, padding:padding + h, out_cols] = src[:, :, :, in_cols]
+            for i in range(kh):
+                c6[:, :, i, j] = padded[:, :, i:i + stride * oh:stride]
         yield s, cols[:b]
 
 
@@ -91,7 +93,8 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     example makes the same GEMM calls, and every sum runs in the same order,
     as lowering the whole batch at once, so results do not depend on the block
     size. No call keeps more than one block of columns: backward lowers each
-    block again from the input.
+    block again from the input, which it keeps as the input's ``recompute``
+    when the input has one (a ReLU over a batch norm), else as ``x.data``.
     """
     _require_4d(x, "conv2d")
     if weight.ndim != 4:
@@ -119,7 +122,10 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
         np.matmul(w2, cb, out=out_data[s:s + block])
     out = _wrap(out_data.reshape(n, cout, oh, ow))
     if recording(x, weight):
+        recompute, needs_dx = x.recompute, x.requires_grad
+        kept = x.data if recompute is None else None
         def bwd(g):
+            xd = kept if recompute is None else recompute()
             g2 = g.reshape(n, cout, p)
             # Per-example weight gradients, each cols @ g^T as (k, cout), are
             # added in batch order onto zeros, which is how .sum(axis=0)
@@ -127,12 +133,12 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
             dw = np.zeros((k, cout), dtype=np.result_type(g2, dtype))
             part = np.empty((block, k, cout), dtype=dw.dtype)
             dx = None
-            if x.requires_grad:
+            if needs_dx:
                 dx = np.zeros((n, cin, h, w), dtype=np.result_type(w2, g2))
                 dcols = np.empty((block, k, p), dtype=dx.dtype)
                 taps = ([_tap_range(i, padding, stride, oh, h) for i in range(kh)],
                         [_tap_range(j, padding, stride, ow, w) for j in range(kw)])
-            for s, cb in _lowered(x.data, block, kh, kw, stride, padding, oh, ow):
+            for s, cb in _lowered(xd, block, kh, kw, stride, padding, oh, ow):
                 gb = g2[s:s + block]
                 m = len(gb)
                 np.matmul(cb, gb.transpose(0, 2, 1), out=part[:m])
@@ -172,11 +178,24 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0). Recorded, it keeps its output, whose sign is the mask, unless
+    its input can be computed again (a batch norm's output): then it keeps
+    only that function, takes the mask from it and sets its own ``recompute``."""
     out = _wrap(np.maximum(x.data, 0))
     if recording(x):
-        kept = out.data  # positive exactly where x is, so x itself need not stay
-        def bwd(g):
-            return (g * (kept > 0),)  # gradient at exactly 0 is 0
+        recompute = x.recompute
+        if recompute is None:
+            kept = out.data  # positive exactly where x is, so x itself need not stay
+            def bwd(g):
+                return (g * (kept > 0),)  # gradient at exactly 0 is 0
+        else:
+            def bwd(g):
+                return (g * (recompute() > 0),)
+
+            def again():
+                data = recompute()
+                return np.maximum(data, 0, out=data)
+            out.recompute = again
         push((x,), out, bwd)
     return out
 
@@ -309,6 +328,18 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return out
 
 
+def _normalized(x: np.ndarray, mean: np.ndarray, inv: np.ndarray, gamma: np.ndarray,
+                beta: np.ndarray, out=None) -> np.ndarray:
+    """Batch norm's output ``(x - mean) * inv * gamma + beta``, per channel, in
+    that order, in place on one buffer (``out`` when given). Forward and the
+    output's ``recompute`` both call this, so their bits cannot differ."""
+    out = np.subtract(x, mean[None, :, None, None], out=out)
+    out *= inv[None, :, None, None]
+    out *= gamma[None, :, None, None]
+    out += beta[None, :, None, None]
+    return out
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray, *,
                training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
@@ -324,9 +355,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         out = gamma * xhat + beta
         dx  = coeff * ((g - dbeta/m) - (xhat*dgamma)/m)  (train), g * coeff  (eval)
 
-    The passes run in place on one centered buffer, exact while no operand
-    has a wider dtype than x, and never write ``x.data`` or ``g`` (``add``'s
-    backward hands one ``g`` to two inputs).
+    Each pass runs in place on one buffer (train mode squares the centered
+    input for ``var``, then centers it again in the same buffer for ``out``),
+    exact while no operand has a wider dtype than x, and never writes
+    ``x.data`` or ``g`` (``add``'s backward hands one ``g`` to two inputs).
+    Recorded, the output's ``recompute`` computes ``out`` again from ``x``.
     """
     _require_4d(x, "batch_norm")
     n, c, h, w = x.shape
@@ -339,18 +372,18 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     # eval mode copies the running mean: backward normalizes with it again,
     # after later training-mode calls may have moved the running buffers
     mean = x.data.mean(axis=(0, 2, 3)) if training else running_mean.copy()
-    out_data = x.data - mean[None, :, None, None]
-    var = np.square(out_data).mean(axis=(0, 2, 3)) if training else running_var
+    buffer, var = None, running_var
     if training:
+        buffer = x.data - mean[None, :, None, None]
+        var = np.square(buffer, out=buffer).mean(axis=(0, 2, 3))
         for running, batch in ((running_mean, mean), (running_var, var)):
             running *= (1.0 - momentum)
             running += momentum * batch
     inv = 1.0 / np.sqrt(var + eps)
-    out_data *= inv[None, :, None, None]
-    out_data *= gamma.data[None, :, None, None]
-    out_data += beta.data[None, :, None, None]
-    out = _wrap(out_data)
+    out = _wrap(_normalized(x.data, mean, inv, gamma.data, beta.data, buffer))
     if recording(x, gamma, beta):
+        xd, gd, bd = x.data, gamma.data, beta.data
+        out.recompute = lambda: _normalized(xd, mean, inv, gd, bd)
         def bwd(g):
             xhat = x.data - mean[None, :, None, None]
             xhat *= inv[None, :, None, None]

@@ -8,13 +8,16 @@ module constants; a failure here means a shipped guarantee broke.
 """
 
 import json
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from blas_threads import use_one_blas_thread
 from wsmsnet import cli, ops
 from wsmsnet.autodiff import Tensor
 from wsmsnet.cost import cost_report, stage_overhead
@@ -63,6 +66,8 @@ GRADCHECK_BUDGET_S = 120.0
 CLONE_GRAD_ATOL = 1e-10
 
 BENCHMARK_SEEDS = (0, 1, 2, 3, 4)
+BENCHMARK_PRESETS = {"wsms": "synth-wsms-tiny", "base": "synth-baseline-tiny"}
+BENCHMARK_WORKERS = 2
 BENCHMARK_MIN_WINS = 4
 BENCHMARK_RUN_BUDGET_S = 600.0
 
@@ -179,31 +184,44 @@ class TestSharingGuarantees:
         np.testing.assert_array_equal(via_stage1.data, via_stage2.data)
 
 
+def _train_twin(seed: int, tag: str) -> dict:
+    """Train one twin of the scale benchmark at ``seed`` and evaluate it on
+    the held-out and seen scale bands. Runs in a worker process, which
+    renders its own data and times its own training."""
+    body = load_preset(BENCHMARK_PRESETS[tag])
+    train_ds, seen, held = synth_scale_dataset(SynthScaleConfig(seed=seed))
+    train_n, (seen_n, held_n), _, _ = normalize_per_channel(train_ds, seen, held)
+    model = build_model(model_from_config(body["model"]), seed=seed)
+    cfg = TrainConfig.from_dict({**body["train"], "seed": seed})
+    t0 = time.perf_counter()
+    train(model, train_n, cfg)
+    return {f"{tag}_secs": time.perf_counter() - t0,
+            f"{tag}_held": evaluate(model, held_n)[0],
+            f"{tag}_seen": evaluate(model, seen_n)[0]}
+
+
 @pytest.fixture(scope="session")
 def benchmark_results():
     """Train the shared-pathway model and its parameter-matched single-stage
     twin on the synthetic scale benchmark across fixed seeds; evaluate both
-    on the held-out (smaller-than-trained) scale band."""
-    wsms_body = load_preset("synth-wsms-tiny")
-    base_body = load_preset("synth-baseline-tiny")
-    wsms_spec = model_from_config(wsms_body["model"])
-    base_spec = model_from_config(base_body["model"])
-    results = []
-    for seed in BENCHMARK_SEEDS:
-        train_ds, seen, held = synth_scale_dataset(SynthScaleConfig(seed=seed))
-        train_n, (seen_n, held_n), _, _ = normalize_per_channel(train_ds, seen, held)
-        entry = {"seed": seed}
-        for tag, spec, body in (("wsms", wsms_spec, wsms_body),
-                                ("base", base_spec, base_body)):
-            model = build_model(spec, seed=seed)
-            cfg = TrainConfig.from_dict({**body["train"], "seed": seed})
-            t0 = time.perf_counter()
-            train(model, train_n, cfg)
-            entry[f"{tag}_secs"] = time.perf_counter() - t0
-            entry[f"{tag}_held"] = evaluate(model, held_n)[0]
-            entry[f"{tag}_seen"] = evaluate(model, seen_n)[0]
-        entry["won"] = entry["wsms_held"] < entry["base_held"]
-        results.append(entry)
+    on the held-out (smaller-than-trained) scale band.
+
+    The ten trainings run in BENCHMARK_WORKERS spawned processes, each with
+    one BLAS thread, set before the worker loads numpy; this process's own
+    environment is left as it is.
+    """
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(BENCHMARK_WORKERS, mp_context=spawn,
+                             initializer=use_one_blas_thread) as pool:
+        runs = {(seed, tag): pool.submit(_train_twin, seed, tag)
+                for seed in BENCHMARK_SEEDS for tag in BENCHMARK_PRESETS}
+        results = []
+        for seed in BENCHMARK_SEEDS:
+            entry = {"seed": seed}
+            for tag in BENCHMARK_PRESETS:
+                entry.update(runs[seed, tag].result())
+            entry["won"] = entry["wsms_held"] < entry["base_held"]
+            results.append(entry)
     return results
 
 

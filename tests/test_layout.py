@@ -1,5 +1,6 @@
-"""The runtime model and the cost model agree layer by layer, and preset
-checkpoint layouts stay fixed.
+"""The runtime model and the cost model agree layer by layer, preset
+checkpoint layouts stay fixed, and recomputing batch-norm ReLU outputs in
+backward changes no gradient bit.
 
 Every runtime convolution must run under its cost row's path with its cost
 row's output shape, in row order, for every family, stage count, integration
@@ -11,14 +12,15 @@ checkpoint is loaded against, so their order is pinned.
 import hashlib
 import itertools
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsmsnet import layers
-from wsmsnet.autodiff import Tensor
+from wsmsnet import layers, model as wmodel, ops
+from wsmsnet.autodiff import Tape, Tensor, push, recording
 from wsmsnet.cost import cost_report
 from wsmsnet.model import build_model, image_pyramid, run_unit
 from wsmsnet.specs import (FAMILIES, INTEGRATIONS, SHARINGS, ConvNet, DenseNet, ResNet,
@@ -121,6 +123,60 @@ def check_truncated_pathways_align(spec):
         assert truncated.data.tobytes() == pathway(level, False).data.tobytes()
 
 
+def keeping_relu(x):
+    """ReLU as it ran before batch-norm outputs could be computed again: its
+    backward keeps its own output, so the next conv keeps that output too."""
+    out = Tensor(np.maximum(x.data, 0), dtype=x.dtype)
+    if recording(x):
+        kept = out.data
+        push((x,), out, lambda g: (g * (kept > 0),))
+    return out
+
+
+def check_recomputed_relus_match_kept(spec):
+    """One recorded training step, with every batch norm's gamma and beta
+    drawn, gives the same gradient bytes as a run whose ReLUs keep their
+    outputs; and no output of a ReLU over a batch norm is alive once the
+    forward pass has returned."""
+    x = Tensor(np.random.default_rng(8).standard_normal((2, 3, INPUT, INPUT)))
+    labels = np.arange(2) % spec.class_count
+
+    def step(relu):
+        net = build_model(spec, seed=0)
+        affine = np.random.default_rng(9)
+        for bn in net.batch_norms():
+            for t in (bn.gamma, bn.beta):
+                t.data[...] = affine.standard_normal(t.shape)
+        with pytest.MonkeyPatch.context() as patch, Tape() as tape:
+            patch.setattr(wmodel, "relu", relu)
+            loss = ops.softmax_cross_entropy(net.forward(x, training=True), labels)
+        return net, tape, loss
+
+    last_bn, bn_relu_outputs = [None], []
+    bn_call = layers.BatchNorm.__call__
+
+    def spied_bn(layer, y, training):
+        last_bn[0] = bn_call(layer, y, training)
+        return last_bn[0]
+
+    def spied_relu(y):
+        out = ops.relu(y)
+        if y is last_bn[0]:
+            bn_relu_outputs.append(weakref.ref(out.data))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(layers.BatchNorm, "__call__", spied_bn)
+        net, tape, loss = step(spied_relu)
+    assert bn_relu_outputs and all(ref() is None for ref in bn_relu_outputs)
+    grads = tape.backward(loss)
+    ref_net, ref_tape, ref_loss = step(keeping_relu)
+    ref_grads = ref_tape.backward(ref_loss)
+    assert loss.data.tobytes() == ref_loss.data.tobytes()
+    for e, ref in zip(net.params, ref_net.params):
+        assert grads[e.tensor].tobytes() == ref_grads[ref.tensor].tobytes(), e.name
+
+
 class TestRuntimeMatchesCostRows:
     @pytest.mark.parametrize("spec", list(GRID.values()), ids=list(GRID))
     def test_layers_match_rows(self, spec):
@@ -201,6 +257,11 @@ class TestEveryValidSpec:
     @given(wsms_specs(sharing=st.just("shared")))
     def test_clone_gradients_sum_to_shared_gradient(self, check_clone_gradients_sum, spec):
         check_clone_gradients_sum(spec, INPUT, CLONE_GRAD_ATOL)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(wsms_specs())
+    def test_recomputed_relus_give_the_kept_relus_gradients(self, spec):
+        check_recomputed_relus_match_kept(spec)
 
 
 class TestCheckpointLayout:

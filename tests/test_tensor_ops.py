@@ -139,10 +139,12 @@ class TestTapeLiveness:
             y = model.run_unit(unit, spied, x, training=True)
             loss = ops.sum_all(y)
         alive = {kind: [ref() is not None for ref in refs] for kind, refs in live.items()}
-        # batch norm outputs are read by no backward (the ReLU after the first
-        # keeps its own output), and add's backward reads nothing
+        # batch norm outputs are read by no backward; the ReLU after the first
+        # keeps only the function that computes it again from conv1's output,
+        # and so does conv2 for that ReLU's output; add's backward reads
+        # nothing, and the last ReLU, over add's output, keeps its own output
         assert alive == {"conv": [True, True], "bn": [False, False], "add": [False],
-                         "relu": [True, True]}
+                         "relu": [False, True]}
         assert x in tape.backward(loss)
 
     def test_spent_tape_frees_activations_while_logits_live(self):
@@ -330,6 +332,39 @@ class TestConv2dBlocking:
         assert_same_bits(dw, dw_tracked)
 
 
+def naive_im2col(x, kh, kw, stride, padding):
+    """(n, C*kh*kw, OH*OW) columns of ``x``, one output position at a time."""
+    n, c, h, w = x.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            for r in range(oh):
+                for q in range(ow):
+                    cols[:, :, i, j, r, q] = xp[:, :, i + stride * r, j + stride * q]
+    return cols.reshape(n, c * kh * kw, oh * ow)
+
+
+class TestLowering:
+    """``_lowered`` yields, block by block, exactly the naive im2col columns."""
+
+    @pytest.mark.parametrize("kernel,stride,padding,extent,channels", list(itertools.product(
+        (1, 3), (1, 2), (0, 1, 2), ((7, 7), (8, 8), (5, 8)), (1, 3, 8))))
+    def test_matches_naive_im2col(self, kernel, stride, padding, extent, channels):
+        rng = np.random.default_rng(sum(extent) * 100 + channels * 10 + padding)
+        n = 5
+        x = signed_zeros(rng, (n, channels, *extent), np.float32)
+        expected = naive_im2col(x, kernel, kernel, stride, padding)
+        oh, ow = ((size + 2 * padding - kernel) // stride + 1 for size in extent)
+        # 2 and 3 leave a partial last block; 5 is the whole batch
+        for block in (1, 2, 3, n):
+            lowered = np.concatenate([cols.copy() for _, cols in ops._lowered(
+                x, block, kernel, kernel, stride, padding, oh, ow)])
+            assert_same_bits(lowered, expected)
+
+
 class TestPooling:
     def test_avg_pool_half_values(self):
         x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
@@ -479,6 +514,33 @@ class TestBatchNormBits:
         assert len(grads) == 3
         for actual, wanted in zip(grads, expected[1:]):
             assert_same_bits(actual, wanted)
+
+
+class TestRecompute:
+    """A recorded batch norm's output, and a ReLU's over it, can be computed
+    again; what ``recompute`` returns must be the forward output's bytes."""
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_train_mode_recompute_returns_the_forward_bytes(self, dtype):
+        rng = np.random.default_rng(3)
+        half = rng.integers(-2, 3, size=(1, 3, 4, 4)).astype(dtype)
+        # every channel sums to exactly 0, so its mean is 0 and its zeros
+        # normalize to exact zeros; -0.0 survives where beta is -0.0
+        x = np.concatenate([half, -half])
+        gamma = np.array([1.5, -0.75, 2.0], dtype=dtype)
+        beta = np.array([0.0, -0.0, -0.5], dtype=dtype)
+        stats = np.zeros(3, dtype), np.ones(3, dtype)
+        with Tape() as tape:
+            y = ops.batch_norm(*exact(x, gamma, beta, requires_grad=True), *stats,
+                               training=True)
+            z = ops.relu(y)
+        zeros = y.data[y.data == 0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        for t in (y, z):
+            assert_same_bits(t.recompute(), t.data)
+        tape.release()
+        untaped = ops.batch_norm(*exact(x, gamma, beta), *stats, training=True)
+        assert untaped.recompute is None and ops.relu(untaped).recompute is None
 
 
 def _batch_norm_call(training):
