@@ -74,15 +74,70 @@ def _tap_range(offset: int, padding: int, stride: int, out: int, size: int):
     return slice(start, start + stride * count, stride), slice(first, first + count)
 
 
-def _from_columns(dcols: np.ndarray, dx: np.ndarray, row_taps, col_taps,
-                  oh: int, ow: int) -> None:
-    """col2im of one block: sum ``dcols`` (b, C*kh*kw, OH*OW) into zeroed ``dx``
-    (b, C, H, W), tap by tap; ``row_taps`` and ``col_taps`` hold each tap's
-    ``_tap_range``, so the parts of each tap that fall on padding are dropped."""
-    d6 = dcols.reshape(*dx.shape[:2], len(row_taps), len(col_taps), oh, ow)
-    for i, (rows, orows) in enumerate(row_taps):
-        for j, (cols, ocols) in enumerate(col_taps):
-            dx[:, :, rows, cols] += d6[:, :, i, j, orows, ocols]
+def _plane_taps(k: int, padding: int, stride: int, grid: int, extent: int):
+    """``(tap, shift, phase, zeroed)`` along one axis for each kernel offset
+    that reaches a phase plane of extent ``grid``. Output index o of tap
+    ``tap`` reads input index ``stride * (o + shift) + phase``, which is index
+    ``o + shift`` of plane ``phase``. ``zeroed`` slices the output indices
+    whose products must be zeroed before the shifted add: those shifted off
+    the plane, which a flat add would carry into the next row or channel, and
+    those past the output's ``extent``, from g's zero extension."""
+    taps = []
+    for tap in range(k):
+        shift, phase = divmod(tap - padding, stride)
+        if -grid < shift < grid:
+            zeroed = (slice(0, max(0, -shift)), slice(min(grid - shift, extent), grid))
+            taps.append((tap, shift, phase, [z for z in zeroed if z.start < z.stop]))
+    return taps
+
+
+def _dx_by_taps(weight: np.ndarray, g_dtype: np.dtype, shape: tuple, block: int,
+                oh: int, ow: int, stride: int, padding: int):
+    """conv2d's input gradient of ``shape``, summed tap by tap (see conv2d).
+
+    Returns ``(dx, add)``: ``add(start, g_block)`` adds to ``dx`` what the
+    (b, cout, OH*OW) gradient of the block of examples from ``start`` gives.
+    """
+    _, cin, h, w = shape
+    cout, _, kh, kw = weight.shape
+    gh, gw = max(oh, -(-h // stride)), max(ow, -(-w // stride))
+    dx = np.empty(shape, dtype=np.result_type(weight, g_dtype))
+    plane = cin * gh * gw
+    # weight's (cout, C*kh*kw) matrix with its columns in (i, j, c) order: the
+    # GEMM keeps the shape and layout of im2col's, and its rows come out tap-major
+    w_taps = np.ascontiguousarray(weight.transpose(0, 2, 3, 1)).reshape(cout, -1).T
+    dcols = np.empty((block, kh * kw, plane), dtype=dx.dtype)
+    products = dcols.reshape(block, -1, gh * gw, copy=False)
+    planes = np.empty((block, stride * stride, plane), dtype=dx.dtype)
+    g_grid = None if (gh, gw) == (oh, ow) else np.zeros((block, cout, gh, gw), dtype=g_dtype)
+    taps = []
+    for i, shift_h, phase_h, rows in _plane_taps(kh, padding, stride, gh, oh):
+        for j, shift_w, phase_w, cols in _plane_taps(kw, padding, stride, gw, ow):
+            slab = dcols[:, i * kw + j]
+            shift = shift_h * gw + shift_w
+            on_grid = slab.reshape(block, cin, gh, gw, copy=False)
+            off = [on_grid[:, :, r] for r in rows] + [on_grid[..., c] for c in cols]
+            source, target = ((slab[:, :plane - shift], slice(shift, None)) if shift >= 0
+                              else (slab[:, -shift:], slice(None, plane + shift)))
+            taps.append((off, phase_h * stride + phase_w, target, source))
+
+    def add(start: int, gb: np.ndarray) -> None:
+        m = len(gb)
+        if g_grid is not None:
+            g_grid[:m, :, :oh, :ow] = gb.reshape(m, cout, oh, ow)
+            gb = g_grid[:m].reshape(m, cout, gh * gw, copy=False)
+        np.matmul(w_taps, gb, out=products[:m])
+        sums = planes[:m]
+        sums[...] = 0
+        for off, phase, target, source in taps:
+            for view in off:
+                view[:m] = 0
+            sums[:, phase, target] += source[:m]
+        for phase in range(stride * stride):
+            out = dx[start:start + m, :, phase // stride::stride, phase % stride::stride]
+            out[...] = sums[:, phase].reshape(m, cin, gh, gw, copy=False)[
+                :, :, :out.shape[2], :out.shape[3]]
+    return dx, add
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -95,6 +150,22 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
     size. No call keeps more than one block of columns: backward lowers each
     block again from the input, which it keeps as the input's ``recompute``
     when the input has one (a ReLU over a batch norm), else as ``x.data``.
+
+    Backward sums dx one kernel tap (i, j) at a time, with no col2im. One
+    GEMM per block multiplies g by the weight's (C*kh*kw, cout) transpose with
+    its rows in tap-major (i, j, c) order, the shape im2col's order gives, so
+    each tap's (C, GH*GW) slab of every example is contiguous. Each slab is
+    added into dx as one contiguous run per example, shifted by the tap's
+    offset. Input row ``y = stride * r + a`` lies on row r of phase plane a,
+    so every tap lands on one of stride x stride phase planes, each on the
+    grid GH = max(OH, ceil(H / stride)), GW likewise, with g zero-extended to
+    that grid. The planes are summed in a one-block buffer and written into
+    dx once per block, cropped to the input; at stride 1 there is one plane,
+    and the write is a copy of the block. Before each add,
+    the slab entries that the shift moves off the plane (into the next row or
+    channel) or that come from g's extension are set to +0.0. That is exact:
+    each dx element still receives its taps in (i, j) order, onto +0.0, and
+    a sum that starts at +0.0 is never -0.0, so an added +0.0 changes no bit.
     """
     _require_4d(x, "conv2d")
     if weight.ndim != 4:
@@ -132,22 +203,18 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> Tens
             # reduces a stacked product; dw is transposed once at the end.
             dw = np.zeros((k, cout), dtype=np.result_type(g2, dtype))
             part = np.empty((block, k, cout), dtype=dw.dtype)
-            dx = None
+            dx = add_dx = None
             if needs_dx:
-                dx = np.zeros((n, cin, h, w), dtype=np.result_type(w2, g2))
-                dcols = np.empty((block, k, p), dtype=dx.dtype)
-                taps = ([_tap_range(i, padding, stride, oh, h) for i in range(kh)],
-                        [_tap_range(j, padding, stride, ow, w) for j in range(kw)])
+                dx, add_dx = _dx_by_taps(weight.data, g2.dtype, (n, cin, h, w), block, oh, ow,
+                                         stride, padding)
             for s, cb in _lowered(xd, block, kh, kw, stride, padding, oh, ow):
                 gb = g2[s:s + block]
                 m = len(gb)
                 np.matmul(cb, gb.transpose(0, 2, 1), out=part[:m])
                 for row in part[:m]:
                     dw += row
-                if dx is None:
-                    continue
-                np.matmul(w2.T, gb, out=dcols[:m])
-                _from_columns(dcols[:m], dx[s:s + m], *taps, oh, ow)
+                if add_dx is not None:
+                    add_dx(s, gb)
             return dx, dw.T.reshape(weight.shape)
         push((x, weight), out, bwd)
     return out
@@ -180,7 +247,11 @@ def global_avg_pool(x: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     """max(x, 0). Recorded, it keeps its output, whose sign is the mask, unless
     its input can be computed again (a batch norm's output): then it keeps
-    only that function, takes the mask from it and sets its own ``recompute``."""
+    only that function and sets its own ``recompute``. That leaves its result
+    in a one-slot cell, which backward takes and empties (the conv reading
+    this output calls it just before); backward computes the input again only
+    when the cell is empty. ``max(v, 0) > 0`` is ``v > 0`` for every v, NaN
+    and -0.0 included, so either gives the same mask."""
     out = _wrap(np.maximum(x.data, 0))
     if recording(x):
         recompute = x.recompute
@@ -189,12 +260,17 @@ def relu(x: Tensor) -> Tensor:
             def bwd(g):
                 return (g * (kept > 0),)  # gradient at exactly 0 is 0
         else:
+            cell = []
+
             def bwd(g):
-                return (g * (recompute() > 0),)
+                data = cell.pop() if cell else recompute()
+                return (g * (data > 0),)
 
             def again():
                 data = recompute()
-                return np.maximum(data, 0, out=data)
+                np.maximum(data, 0, out=data)
+                cell[:] = [data]
+                return data
             out.recompute = again
         push((x,), out, bwd)
     return out

@@ -8,7 +8,8 @@ import pytest
 from wsmsnet import model, ops
 from wsmsnet.autodiff import Tape, Tensor, using_precision
 from wsmsnet.layers import BatchNorm, Conv2dLayer
-from wsmsnet.specs import BnSite, ConvSite, Unit
+from wsmsnet.model import build_model
+from wsmsnet.specs import BnSite, ConvSite, Unit, WsmsSpec
 
 
 def tracked(arr) -> Tensor:
@@ -265,11 +266,16 @@ class TestConv2dBlocking:
             for actual, wanted in zip(grads, expected_grads[1:]):
                 assert_same_bits(actual, wanted)
 
-    @pytest.mark.parametrize("kernel,stride,padding,dtype", list(itertools.product(
-        (1, 3), (1, 2), (0, 1), (np.float32, np.float64))))
-    def test_matches_whole_batch_lowering(self, monkeypatch, kernel, stride, padding, dtype):
-        rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
-        self.check(monkeypatch, rng, (5, 3, 7, 7), 4, kernel, stride, padding, dtype)
+    @pytest.mark.parametrize("kernel,stride,padding,extent,channels,dtype", list(
+        itertools.product((1, 3), (1, 2), (0, 1, 2), ((7, 7), (8, 8), (5, 8)), (1, 3, 8),
+                          (np.float32, np.float64))))
+    def test_matches_whole_batch_lowering(self, monkeypatch, kernel, stride, padding, extent,
+                                          channels, dtype):
+        # TestLowering's grid: at stride 2 dx is summed on phase planes, whose
+        # grid exceeds the output (g zero-extended) at 8x8 without padding,
+        # and exceeds the input (planes cropped) at padding 2
+        rng = np.random.default_rng([kernel, stride, padding, *extent, channels])
+        self.check(monkeypatch, rng, (5, channels, *extent), 4, kernel, stride, padding, dtype)
 
     @pytest.mark.parametrize("kernel,height,width,dtype", list(itertools.product(
         (1, 2, 3), (7, 8), (6, 9), (np.float32, np.float64))))
@@ -279,6 +285,26 @@ class TestConv2dBlocking:
         # start and, depending on kernel and extent, at the end of each axis
         rng = np.random.default_rng(kernel * 100 + height * 10 + width)
         self.check(monkeypatch, rng, (5, 3, height, width), 4, kernel, 2, 1, dtype)
+
+    @pytest.mark.parametrize("stride,padding", ((1, 0), (2, 0), (1, 2)))
+    def test_infinite_weight_reaches_only_its_taps(self, stride, padding):
+        # the gradient grid exceeds the output in the first two and the input
+        # in the last; the products of g's zero extension (inf * 0 = nan)
+        # must not reach dx
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
+        w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+        w[1, 2, 0, 0] = np.inf
+        with np.errstate(invalid="ignore"):  # inf - inf in the sums over inputs
+            expected = reference_conv2d(x, w, stride, padding)
+            g = rng.standard_normal(expected.shape).astype(np.float32)
+            with Tape() as tape:
+                ops.conv2d(*exact(x, w, requires_grad=True), stride=stride, padding=padding)
+            dx = tape.nodes[-1].fn(g)[0]
+            tape.release()
+            wanted = reference_conv2d(x, w, stride, padding, g)[1]
+        assert np.isfinite(wanted).any()
+        np.testing.assert_array_equal(dx, wanted)
 
     def test_untaped_conv_holds_no_whole_batch_columns(self):
         rng = np.random.default_rng(0)
@@ -293,16 +319,18 @@ class TestConv2dBlocking:
             tracemalloc.stop()
         assert peak < whole_batch_columns
 
-    def test_taped_conv_holds_no_whole_batch_columns(self):
+    @staticmethod
+    def check_taped_peaks(stride):
         rng = np.random.default_rng(0)
         x = tracked(rng.standard_normal((64, 16, 32, 32)))
         w = tracked(rng.standard_normal((16, 16, 3, 3)))
-        g = rng.standard_normal((64, 16, 32, 32)).astype(np.float32)
-        whole_batch_columns = 64 * 16 * 9 * 32 * 32 * 4  # 37.7 MB
+        out = 32 // stride
+        g = rng.standard_normal((64, 16, out, out)).astype(np.float32)
+        whole_batch_columns = 64 * 16 * 9 * out * out * 4  # 37.7 MB at stride 1
         tracemalloc.start()
         try:
             with Tape() as tape:
-                ops.conv2d(x, w, padding=1)
+                ops.conv2d(x, w, stride=stride, padding=1)
             forward_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             tape.nodes[-1].fn(g)
@@ -312,6 +340,13 @@ class TestConv2dBlocking:
             tape.release()
         assert forward_peak < whole_batch_columns
         assert backward_peak < whole_batch_columns
+
+    def test_taped_conv_holds_no_whole_batch_columns(self):
+        self.check_taped_peaks(1)
+
+    def test_taped_strided_conv_holds_no_whole_batch_columns(self):
+        # phase planes, one block of them, beside the (64, 16, 32, 32) dx
+        self.check_taped_peaks(2)
 
     def test_untracked_input_gets_no_gradient(self):
         rng = np.random.default_rng(1)
@@ -541,6 +576,32 @@ class TestRecompute:
         tape.release()
         untaped = ops.batch_norm(*exact(x, gamma, beta), *stats, training=True)
         assert untaped.recompute is None and ops.relu(untaped).recompute is None
+
+    def test_backward_normalizes_once_per_bn_relu(self, monkeypatch, tiny_backbone):
+        # the conv reading a BN-ReLU output computes it again in its backward;
+        # the ReLU's backward, which runs next, takes the mask from that array
+        spec = WsmsSpec(tiny_backbone, stages=1)
+        net = build_model(spec, seed=0)
+        counts = {"bn_relu": 0, "normalized": 0}
+        relu, normalized = ops.relu, ops._normalized
+
+        def counted_relu(x):
+            out = relu(x)
+            counts["bn_relu"] += out.recompute is not None
+            return out
+
+        def counted_normalized(*args, **kwargs):
+            counts["normalized"] += 1
+            return normalized(*args, **kwargs)
+
+        monkeypatch.setattr(model, "relu", counted_relu)
+        monkeypatch.setattr(ops, "_normalized", counted_normalized)
+        x = Tensor(np.random.default_rng(2).standard_normal((2, 3, 8, 8)))
+        with Tape() as tape:
+            loss = ops.softmax_cross_entropy(net.forward(x, training=True), np.array([0, 1]))
+        counts["normalized"] = 0
+        tape.backward(loss)
+        assert counts["bn_relu"] == 3 and counts["normalized"] == 3  # stem and two units
 
 
 def _batch_norm_call(training):

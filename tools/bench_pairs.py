@@ -1,0 +1,128 @@
+"""Run the benchmark in alternating parent/change pairs and summarise them.
+
+    python3 tools/bench_pairs.py REV WORKLOAD N [--seed0 K]
+
+The change is the tracked files of the checkout this script lives in, as
+they stand on disk, staged or not (``git stash create``; untracked files are
+left out); the parent is commit REV. Both are exported with ``git archive``
+into sibling temporary directories whose paths have the same length, so
+both sides run from alike fresh trees, as the benchmark runs them, and the
+repository gets no new worktree or ref. Pair i runs
+``perfbench/run.py --workload WORKLOAD --seed K+i --seconds S --trace 0`` once
+in each tree, one process at a time, the parent first in even pairs and the
+change first in odd ones, so drift of the machine falls on both sides alike.
+S is ``run_seconds`` of ``BENCHMARK.json``, so every run is timed as the
+benchmark times it.
+
+Prints one JSON object: for every end-to-end metric of ``BENCHMARK.json``,
+each side's median and quartiles, the per-pair ratio change/parent, and in how
+many pairs the change was better (in the direction the metric names). Each
+side's ``correct`` flags and failed shares are listed per pair. Progress goes
+to standard error.
+
+Needs Python 3.10.12, 3.11.4 or 3.12 and later, whose ``tarfile`` has the
+``data`` extraction filter: it keeps the exported paths inside the temporary
+directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    """The tree of commit ``rev`` under ``dest``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+    """The result line of one ``run.py`` process in ``tree``."""
+    proc = subprocess.run(
+        [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def spread(values: list) -> dict:
+    if len(values) < 2:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def summarise(results: dict, declared: list) -> dict:
+    """Per-metric spreads, ratios and change wins over paired ``results``."""
+    metrics = {}
+    for metric in declared:
+        name, higher = metric["name"], metric["better"] == "higher"
+        parent = [r["metrics"][name]["value"] for r in results["parent"]]
+        change = [r["metrics"][name]["value"] for r in results["change"]]
+        wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        metrics[name] = {
+            "better": metric["better"], "parent": spread(parent), "change": spread(change),
+            "ratios": [c / p if p else None for p, c in zip(parent, change)],
+            "change_wins": wins,
+        }
+    return metrics
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="parent commit")
+    parser.add_argument("workload")
+    parser.add_argument("pairs", type=int)
+    parser.add_argument("--seed0", type=int, default=100, help="seed of the first pair")
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or args.seed0 < 0:
+        parser.error("N must be >= 1 and --seed0 >= 0")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    parent_id = git("rev-parse", args.rev)
+    change_id = git("rev-parse", "HEAD") + ("+dirty" if git("status", "--porcelain") else "")
+    revs = {"parent": parent_id, "change": git("stash", "create") or git("rev-parse", "HEAD")}
+    results = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {side: Path(tmp) / side for side in ("parent", "change")}
+        for side, tree in trees.items():
+            export(revs[side], tree)
+        for i in range(args.pairs):
+            seed = args.seed0 + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run_once(trees[side], args.workload, seed, seconds)
+                results[side].append(result)
+                rate = result["metrics"]["examples_per_s"]["value"]
+                print(f"pair {i} seed {seed} {side}: {rate:.3f} ex/s", file=sys.stderr, flush=True)
+    print(json.dumps({
+        "workload": args.workload, "parent": parent_id, "change": change_id,
+        "seconds": seconds, "seeds": [args.seed0 + i for i in range(args.pairs)],
+        "metrics": summarise(results, benchmark["end_to_end"]),
+        "correct": {side: [r["correct"] for r in rs] for side, rs in results.items()},
+        "failed_share": {side: [r["failed"] / r["attempted"] if r["attempted"] else None
+                                for r in rs] for side, rs in results.items()},
+    }, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
