@@ -193,6 +193,11 @@ class Tape:
         return grads
 
 
+def taping() -> bool:
+    """True while a tape is active, whether or not the next op records."""
+    return Tape._active is not None
+
+
 def recording(*tensors: Optional[Tensor]) -> bool:
     """True when a tape is active and any argument tracks gradients."""
     if Tape._active is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -73,9 +73,9 @@ class BatchNorm:
         self.running_mean = np.zeros(channels, dtype=default_dtype())
         self.running_var = np.ones(channels, dtype=default_dtype())
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
+    def __call__(self, x: Tensor, training: bool, out: Optional[np.ndarray] = None) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                          training=training)
+                          training=training, out=out)
 
 
 class LinearLayer:

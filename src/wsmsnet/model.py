@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, taping
 from .data import DataFormatError
 from .layers import BatchNorm, Conv2dLayer, LinearLayer, ParamEntry
 # scale stays bound, unused, because perfbench/tracing.py wraps it here by name
@@ -56,23 +56,36 @@ def run_unit(unit: Unit, layers: list, x: Tensor, training: bool) -> Tensor:
     stride 2 and zero-padded when the unit widens. A dense unit concatenates
     its output onto its input; transition and pool units end in 2x2 average
     pooling.
+
+    In eval mode with no tape active, a batch norm that directly follows a
+    conv, the residual add after it and the ReLU write into that conv's
+    output array (their ``out=``), which nothing else reads: the same passes
+    in the same order give the same bits, with one activation array where
+    there were three. The unit input, the shortcut and the image batch are
+    never written; a batch norm that reads the unit input (a dense layer's,
+    the tail's) writes a new array.
     """
     # relu(bn(...)) frees each batch-norm output only after its ReLU has run;
     # freeing it first made a resnet110 training step page-fault 3-5x as often
+    in_place = not training and not taping()
     y = x
     last = len(layers) - 1
     for i, (site, layer) in enumerate(zip(unit.sites, layers)):
         if isinstance(site, ConvSite):
             y = layer(y)
-        elif unit.kind == "residual" and i == last:
-            y = layer(y, training)
+            continue
+        # out= only where it applies, so the recorded path's calls are unchanged
+        after_conv = in_place and i > 0 and isinstance(unit.sites[i - 1], ConvSite)
+        into = {"out": y.data} if after_conv else {}
+        if unit.kind == "residual" and i == last:
+            y = layer(y, training, **into)
             entry = unit.sites[0]
             shortcut = subsample2(x) if entry.stride == 2 else x
             if entry.out_channels > entry.in_channels:
                 shortcut = pad_channels(shortcut, entry.out_channels)
-            y = relu(add(y, shortcut))
+            y = relu(add(y, shortcut, **into), **into)
         else:
-            y = relu(layer(y, training))
+            y = relu(layer(y, training, **into), **into)
     if unit.kind == "dense":
         return concat_channels([x, y])
     if unit.kind in ("transition", "pool"):

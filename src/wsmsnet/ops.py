@@ -6,7 +6,7 @@ Convolution is cross-correlation (no kernel flip) over NCHW tensors.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,23 +45,25 @@ def _lowered(x: np.ndarray, block: int, kh: int, kw: int, stride: int, padding: 
     each must be used before the next is drawn. For each kernel column ``j``
     the block is first copied once into its own (b, C, H+2p, OW) buffer, holding
     input column ``j - p + stride*o`` at output column ``o`` between zero rows
-    and columns; those borders are zeroed once and never written. Each tap row
-    ``i`` is then one copy of rows ``i, i+stride, ...`` of that buffer, at
-    stride 1 one contiguous run per channel.
+    and columns; those borders are zeroed once and never written. Tap (i, j)
+    is then rows ``i, i+stride, ...`` of buffer ``j``, so one read-only strided
+    view of the buffers, built once per call, holds every tap of the block in
+    the columns' (c, i, j) row order, and one copy lowers the block.
     """
     n, c, h, w = x.shape
     cols = np.empty((block, c * kh * kw, oh * ow), dtype=x.dtype)
     shifted = np.zeros((kw, block, c, h + 2 * padding, ow), dtype=x.dtype)
+    sj, sb, sc, sr, se = shifted.strides
+    taps = np.lib.stride_tricks.as_strided(
+        shifted, (block, c, kh, kw, oh, ow), (sb, sc, sr, sj, stride * sr, se), writeable=False)
+    c6 = cols.reshape(block, c, kh, kw, oh, ow)
     col_taps = [_tap_range(j, padding, stride, ow, w) for j in range(kw)]
     for s in range(0, n, block):
         src = x[s:s + block]
         b = len(src)
-        c6 = cols[:b].reshape(b, c, kh, kw, oh, ow)
         for j, (in_cols, out_cols) in enumerate(col_taps):
-            padded = shifted[j, :b]
-            padded[:, :, padding:padding + h, out_cols] = src[:, :, :, in_cols]
-            for i in range(kh):
-                c6[:, :, i, j] = padded[:, :, i:i + stride * oh:stride]
+            shifted[j, :b, :, padding:padding + h, out_cols] = src[:, :, :, in_cols]
+        c6[:b] = taps[:b]
         yield s, cols[:b]
 
 
@@ -244,15 +246,25 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return out
 
 
-def relu(x: Tensor) -> Tensor:
+def _unrecorded(op: str, out, *inputs: Tensor) -> None:
+    """Refuse ``out=`` on a call that records: backward reads what it would overwrite."""
+    if out is not None and recording(*inputs):
+        raise RuntimeError(f"{op}: out= is for unrecorded calls only; this call records")
+
+
+def relu(x: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
     """max(x, 0). Recorded, it keeps its output, whose sign is the mask, unless
     its input can be computed again (a batch norm's output): then it keeps
     only that function and sets its own ``recompute``. That leaves its result
     in a one-slot cell, which backward takes and empties (the conv reading
     this output calls it just before); backward computes the input again only
     when the cell is empty. ``max(v, 0) > 0`` is ``v > 0`` for every v, NaN
-    and -0.0 included, so either gives the same mask."""
-    out = _wrap(np.maximum(x.data, 0))
+    and -0.0 included, so either gives the same mask.
+
+    ``out``, numpy-style, is the array the result is written into, which may
+    be ``x.data`` itself; a call that records raises when given one."""
+    _unrecorded("relu", out, x)
+    out = _wrap(np.maximum(x.data, 0, out=out))
     if recording(x):
         recompute = x.recompute
         if recompute is None:
@@ -276,10 +288,12 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def add(x: Tensor, y: Tensor) -> Tensor:
+def add(x: Tensor, y: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
+    """x + y, into ``out`` when given (see ``relu``)."""
     if x.shape != y.shape:
         raise ValueError(f"add: shapes {x.shape} and {y.shape} differ")
-    out = _wrap(x.data + y.data)
+    _unrecorded("add", out, x, y)
+    out = _wrap(np.add(x.data, y.data, out=out))
     if recording(x, y):
         def bwd(g):
             return (g, g)
@@ -418,7 +432,8 @@ def _normalized(x: np.ndarray, mean: np.ndarray, inv: np.ndarray, gamma: np.ndar
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray, *,
-               training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               training: bool, momentum: float = 0.1, eps: float = 1e-5,
+               out: Optional[np.ndarray] = None) -> Tensor:
     """Channel-wise batch normalization over an NCHW tensor.
 
     Train mode normalizes with biased batch statistics and folds them into the
@@ -433,9 +448,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
     Each pass runs in place on one buffer (train mode squares the centered
     input for ``var``, then centers it again in the same buffer for ``out``),
-    exact while no operand has a wider dtype than x, and never writes
-    ``x.data`` or ``g`` (``add``'s backward hands one ``g`` to two inputs).
+    exact while no operand has a wider dtype than x, and never writes ``g``
+    (``add``'s backward hands one ``g`` to two inputs) or ``x.data`` unless
+    ``out`` is it.
     Recorded, the output's ``recompute`` computes ``out`` again from ``x``.
+
+    ``out``, numpy-style, is the array the output is written into, which may
+    be ``x.data`` itself: the four passes then run in place on it, with the
+    same bits. A call that records raises when given one.
     """
     _require_4d(x, "batch_norm")
     n, c, h, w = x.shape
@@ -445,6 +465,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             f"{gamma.shape[0]} and {beta.shape[0]}")
     if running_mean.shape != (c,) or running_var.shape != (c,):
         raise ValueError(f"batch_norm: running buffers do not match {c} channels")
+    _unrecorded("batch_norm", out, x, gamma, beta)
     # eval mode copies the running mean: backward normalizes with it again,
     # after later training-mode calls may have moved the running buffers
     mean = x.data.mean(axis=(0, 2, 3)) if training else running_mean.copy()
@@ -456,7 +477,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             running *= (1.0 - momentum)
             running += momentum * batch
     inv = 1.0 / np.sqrt(var + eps)
-    out = _wrap(_normalized(x.data, mean, inv, gamma.data, beta.data, buffer))
+    out = _wrap(_normalized(x.data, mean, inv, gamma.data, beta.data,
+                            buffer if out is None else out))
     if recording(x, gamma, beta):
         xd, gd, bd = x.data, gamma.data, beta.data
         out.recompute = lambda: _normalized(xd, mean, inv, gd, bd)

@@ -138,6 +138,10 @@ def evaluate(model: Model, ds: Dataset, batch_size: int = 256):
 
     Returns (error_percent, rows) with rows of (id, true, pred, correct).
     Argmax ties resolve to the lowest class index.
+
+    Logits are reproducible at a fixed ``batch_size``, not across batch
+    sizes: the features are, but OpenBLAS may round the classifier's GEMM
+    differently for another number of rows, which can flip an argmax tie.
     """
     if ds.class_count != model.class_count:
         raise ValueError(f"dataset has {ds.class_count} classes, model expects "

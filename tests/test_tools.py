@@ -40,3 +40,29 @@ class TestBenchPairs:
 
     def test_one_pair_has_its_value_as_quartiles(self, bench_pairs):
         assert bench_pairs.spread([3.0]) == {"median": 3.0, "q1": 3.0, "q3": 3.0}
+
+    def test_usage_gives_side_medians_and_pair_values(self, bench_pairs):
+        def runs(counts):
+            return [{"rusage": {"minor_faults": f, "cpu_s": c}} for f, c in counts]
+        paired = {"parent": runs([(100, 2.0), (300, 4.0), (200, 3.0)]),
+                  "change": runs([(50, 1.5), (70, 2.5), (60, 2.0)])}
+        counts = bench_pairs.usage(paired)
+        assert counts["minor_faults"] == {"parent": 200, "change": 60,
+                                          "pairs": [[100, 50], [300, 70], [200, 60]]}
+        assert counts["cpu_s"]["parent"] == 3.0 and counts["cpu_s"]["change"] == 2.0
+        assert counts["cpu_s"]["pairs"][1] == [4.0, 2.5]
+
+    def test_run_once_counts_the_child_process(self, bench_pairs, tmp_path):
+        """A stand-in run.py that touches 64 MB shows at least that many
+        faults and some CPU time in its rusage."""
+        (tmp_path / "perfbench").mkdir()
+        (tmp_path / "perfbench" / "run.py").write_text(
+            "import json\n"
+            "block = bytearray(64 << 20)\n"
+            "for i in range(0, len(block), 4096):\n"
+            "    block[i] = 1\n"
+            "print(json.dumps({'metrics': {}}))\n")
+        result = bench_pairs.run_once(tmp_path, "w", 0, 1)
+        assert result["metrics"] == {}
+        assert result["rusage"]["minor_faults"] >= (64 << 20) // 4096
+        assert result["rusage"]["cpu_s"] > 0

@@ -1,11 +1,14 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from wsmsnet import ops
-from wsmsnet.autodiff import Tensor
+from wsmsnet.autodiff import Tape, Tensor
 from wsmsnet.cost import cost_report
 from wsmsnet.model import build_model, image_pyramid
-from wsmsnet.specs import ResNet, WsmsSpec
+from wsmsnet.specs import INTEGRATIONS, SHARINGS, ConvNet, DenseNet, ResNet, WsmsSpec
 
 
 def batch(shape, seed=0):
@@ -115,6 +118,111 @@ class TestWeightSharing:
         after = [f.data for f in model.stage_features(x)]
         assert not np.array_equal(before[0], after[0])
         assert not np.array_equal(before[1], after[1])
+
+
+EVAL_BACKBONES = {
+    "resnet": ResNet(n=2, class_count=3, channels=(4, 6, 8)),
+    "densenet": DenseNet(growth=2, class_count=3, layers_per_block=2, blocks=3, stem_channels=4),
+    "conv": ConvNet(stem_channels=4, block_widths=(4, 4, 6), convs_per_block=(2, 0, 1),
+                    class_count=3),
+}
+EVAL_SPECS = {
+    f"{family}-{stages}-{sharing}": WsmsSpec(backbone, stages, INTEGRATIONS[stages - 1], 5, sharing)
+    for (family, backbone), stages, sharing in itertools.product(
+        EVAL_BACKBONES.items(), (1, 2, 3), SHARINGS)
+}
+
+
+def eval_model(spec):
+    """``spec`` built at seed 0 with every batch norm's running statistics and
+    affine parameters drawn, so that no eval-mode pass is an identity."""
+    model = build_model(spec, seed=0)
+    rng = np.random.default_rng(11)
+    for bn in model.batch_norms():
+        c = len(bn.running_mean)
+        bn.running_mean[...] = rng.normal(0.0, 0.5, c)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, c)
+        bn.gamma.data[...] = rng.normal(1.0, 0.3, c)
+        bn.beta.data[...] = rng.normal(0.0, 0.3, c)
+    return model
+
+
+class TestEvalInPlace:
+    """With no tape, eval-mode batch norm, residual add and ReLU write into
+    the conv output before them; that path must compute what the recorded
+    path does, bit for bit, and write no array the caller or model owns."""
+
+    @pytest.mark.parametrize("spec", list(EVAL_SPECS.values()), ids=list(EVAL_SPECS))
+    def test_untaped_logits_equal_the_recorded_paths(self, spec):
+        model = eval_model(spec)
+        x = batch((3, 3, 8, 8), seed=12)
+        untaped = model.forward(x, training=False).data
+        with Tape() as tape:
+            taped = model.forward(x, training=False).data
+        tape.release()
+        assert untaped.tobytes() == taped.tobytes()
+
+    @pytest.mark.parametrize("spec", list(EVAL_SPECS.values()), ids=list(EVAL_SPECS))
+    def test_eval_writes_no_input_parameter_or_buffer(self, spec):
+        model = eval_model(spec)
+        x = batch((3, 3, 8, 8), seed=13)
+        owned = [x.data] + [e.tensor.data for e in model.params]
+        owned += [buf for bn in model.batch_norms() for buf in (bn.running_mean, bn.running_var)]
+        before = [a.tobytes() for a in owned]
+        model.forward(x, training=False)
+        assert [a.tobytes() for a in owned] == before
+
+    def test_out_is_refused_when_the_op_records(self):
+        x = Tensor(np.ones((2, 3, 4, 4)), requires_grad=True)
+        gamma = Tensor(np.ones(3), requires_grad=True)
+        beta = Tensor(np.zeros(3), requires_grad=True)
+        calls = {
+            "relu": lambda: ops.relu(x, out=x.data),
+            "add": lambda: ops.add(x, x, out=x.data),
+            "batch_norm": lambda: ops.batch_norm(x, gamma, beta, np.zeros(3), np.ones(3),
+                                                 training=False, out=x.data),
+        }
+        for name, call in calls.items():
+            with Tape(), pytest.raises(RuntimeError, match=f"{name}: out="):
+                call()
+        assert x.data.tobytes() == np.ones((2, 3, 4, 4), dtype=np.float32).tobytes()
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_out_writes_the_same_bits_in_place(self, training):
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.standard_normal((2, 3, 4, 4)))
+        gamma, beta = Tensor(rng.standard_normal(3)), Tensor(rng.standard_normal(3))
+        # of x's dtype: a wider operand would round differently into out=
+        stats = (rng.standard_normal(3, dtype=np.float32),
+                 rng.uniform(0.5, 2.0, 3).astype(np.float32))
+        calls = {
+            "relu": lambda t, **out: ops.relu(t, **out),
+            "add": lambda t, **out: ops.add(t, x, **out),
+            "batch_norm": lambda t, **out: ops.batch_norm(
+                t, gamma, beta, *(s.copy() for s in stats), training=training, **out),
+        }
+        for name, op in calls.items():
+            fresh = op(x).data
+            target = x.data.copy()
+            written = op(Tensor(target), out=target).data
+            assert np.shares_memory(written, target), name
+            assert written.tobytes() == fresh.tobytes(), name
+
+    def test_residual_eval_holds_three_activations(self):
+        """A residual unit's eval forward holds its input, conv1's output and
+        conv2's output, plus one conv's im2col scratch; a batch norm or ReLU
+        output of its own per conv would make four."""
+        spec = WsmsSpec(ResNet(n=2, class_count=3, channels=(16,)), stages=1, integration="none")
+        model = build_model(spec, seed=0)
+        x = Tensor(np.random.default_rng(15).standard_normal((64, 3, 32, 32)))
+        activation = 64 * 16 * 32 * 32 * 4  # 4 MiB
+        tracemalloc.start()
+        try:
+            model.forward(x, training=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * activation
 
 
 @pytest.fixture(scope="module")

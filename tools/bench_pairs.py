@@ -17,8 +17,11 @@ benchmark times it.
 Prints one JSON object: for every end-to-end metric of ``BENCHMARK.json``,
 each side's median and quartiles, the per-pair ratio change/parent, and in how
 many pairs the change was better (in the direction the metric names). Each
-side's ``correct`` flags and failed shares are listed per pair. Progress goes
-to standard error.
+side's ``correct`` flags and failed shares are listed per pair. ``rusage``
+gives each run's minor page faults and CPU seconds (user plus system), the
+``getrusage(RUSAGE_CHILDREN)`` deltas around its process, set-up and warm-up
+included: each side's median and the (parent, change) values of every pair.
+Progress goes to standard error.
 
 Needs Python 3.10.12, 3.11.4 or 3.12 and later, whose ``tarfile`` has the
 ``data`` extraction filter: it keeps the exported paths inside the temporary
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -53,13 +57,23 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
+def cpu_s(usage) -> float:
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """The result line of one ``run.py`` process in ``tree``."""
+    """The result line of one ``run.py`` process in ``tree``, with the
+    process's minor faults and CPU seconds added under ``rusage``."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, check=True, capture_output=True, text=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result["rusage"] = {"minor_faults": after.ru_minflt - before.ru_minflt,
+                        "cpu_s": cpu_s(after) - cpu_s(before)}
+    return result
 
 
 def spread(values: list) -> dict:
@@ -84,6 +98,16 @@ def summarise(results: dict, declared: list) -> dict:
             "change_wins": wins,
         }
     return metrics
+
+
+def usage(results: dict) -> dict:
+    """Each side's median and the per-pair values of every ``rusage`` count."""
+    counts = {}
+    for key in results["parent"][0]["rusage"]:
+        sides = {side: [r["rusage"][key] for r in rs] for side, rs in results.items()}
+        counts[key] = {**{side: statistics.median(v) for side, v in sides.items()},
+                       "pairs": [list(pair) for pair in zip(sides["parent"], sides["change"])]}
+    return counts
 
 
 def main(argv=None) -> int:
@@ -112,11 +136,14 @@ def main(argv=None) -> int:
                 result = run_once(trees[side], args.workload, seed, seconds)
                 results[side].append(result)
                 rate = result["metrics"]["examples_per_s"]["value"]
-                print(f"pair {i} seed {seed} {side}: {rate:.3f} ex/s", file=sys.stderr, flush=True)
+                faults = result["rusage"]["minor_faults"]
+                print(f"pair {i} seed {seed} {side}: {rate:.3f} ex/s, {faults} minor faults",
+                      file=sys.stderr, flush=True)
     print(json.dumps({
         "workload": args.workload, "parent": parent_id, "change": change_id,
         "seconds": seconds, "seeds": [args.seed0 + i for i in range(args.pairs)],
         "metrics": summarise(results, benchmark["end_to_end"]),
+        "rusage": usage(results),
         "correct": {side: [r["correct"] for r in rs] for side, rs in results.items()},
         "failed_share": {side: [r["failed"] / r["attempted"] if r["attempted"] else None
                                 for r in rs] for side, rs in results.items()},
