@@ -88,10 +88,12 @@ def encode_cifar(images: np.ndarray, labels: np.ndarray, variant: str = "cifar10
 def load_cifar(path, variant: str = "cifar10") -> Dataset:
     """Load one binary batch file.
 
-    Pixels are scaled to [0, 1]; ids number the examples in file order.
+    Pixels are scaled to [0, 1]; ids number the examples in file order. The
+    division casts each byte as it goes, with no float32 copy of the images
+    before it, and gives ``images.astype(np.float32) / 255`` bit for bit.
     """
     images, labels = decode_cifar(Path(path).read_bytes(), variant)
-    return Dataset(images.astype(np.float32) / 255.0, labels,
+    return Dataset(np.divide(images, np.float32(255.0), dtype=np.float32), labels,
                    np.arange(len(labels), dtype=np.int64), LABEL_RANGE[variant])
 
 
@@ -190,6 +192,9 @@ class SynthScaleConfig:
         if 2.0 * smallest * r_max < 2.0:  # glyph under 2 pixels is unresolvable
             raise ConfigError(f"scale {smallest} renders a glyph under 2 pixels "
                               f"at image_size {self.image_size}")
+        for name in ("train_per_class", "test_per_class"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.noise < 0:
             raise ConfigError(f"noise must be >= 0, got {self.noise}")
         if self.seed < 0:

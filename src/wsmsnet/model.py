@@ -11,6 +11,7 @@ accumulates its gradients across stages; batch norm sites are per stage.
 from __future__ import annotations
 
 import json
+import math
 import os
 import zipfile
 from pathlib import Path
@@ -18,7 +19,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import ops
 from .autodiff import Tensor, taping
+from .cost import cost_report
 from .data import DataFormatError
 from .layers import BatchNorm, Conv2dLayer, LinearLayer, ParamEntry
 # scale stays bound, unused, because perfbench/tracing.py wraps it here by name
@@ -152,14 +155,44 @@ class Model:
             x = run_unit(unit, layers, x, training)
         return x
 
-    def forward(self, x: Tensor, training: bool = False) -> Tensor:
-        """Run the pyramid through every stage and classify the merged features."""
+    def features(self, x: Tensor, training: bool = False) -> Tensor:
+        """The pooled (N, C) features of ``x``: the pyramid through every
+        stage, the merged stages through the integration, then global average
+        pooling. Examples never meet before the classifier except through
+        training-mode batch statistics."""
         feats = self.stage_features(x, training)
         merged = feats[0] if len(feats) == 1 else concat_channels(feats)
         merged = self.integrate(merged, training)
         pooled = global_avg_pool(merged)
-        flat = reshape(pooled, (pooled.shape[0], pooled.shape[1]))
-        return self.fc(flat)
+        return reshape(pooled, (pooled.shape[0], pooled.shape[1]))
+
+    def eval_pass(self, x: Tensor) -> int:
+        """Examples per eval pass over ``x``: as many as keep the widest
+        per-example activation of the cost rows within the conv's column
+        block budget (``ops.COLUMN_BLOCK_BYTES``), and at least one."""
+        widest = max(math.prod(r.out_shape) for r in cost_report(self.spec, x.shape[2:]).rows)
+        return max(1, ops.COLUMN_BLOCK_BYTES // (widest * x.dtype.itemsize))
+
+    def forward(self, x: Tensor, training: bool = False) -> Tensor:
+        """Classify ``x`` from its :meth:`features`.
+
+        In eval mode with no tape active the features are computed in passes
+        of :meth:`eval_pass` examples, so no activation array spans the whole
+        batch; the passes are joined and the classifier runs once over all N
+        rows. Eval-mode batch norm maps each example on its own, so a pass
+        gives its examples the bits the whole batch gives them, but the
+        classifier's GEMM may round a row differently for another row count,
+        so it keeps seeing the batch. Training couples examples through batch
+        statistics, and a recorded forward is the reference the unrecorded one
+        is checked against, so both run as one pass.
+        """
+        n = x.shape[0]
+        step = n if training or taping() or x.ndim != 4 else self.eval_pass(x)
+        if step >= n:
+            return self.fc(self.features(x, training))
+        parts = [self.features(Tensor(x.data[s:s + step], dtype=x.dtype), training).data
+                 for s in range(0, n, step)]
+        return self.fc(Tensor(np.concatenate(parts), dtype=parts[0].dtype))
 
 
 def build_model(spec: WsmsSpec, seed: int = 0) -> Model:

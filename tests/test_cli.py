@@ -186,6 +186,14 @@ class TestSynthDataCommand:
         assert main(["synth-data", "--out", str(tmp_path / "bench"), "--noise", "-1"]) == 2
         assert "noise must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--train-per-class", "--test-per-class"])
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_per_class_count_below_1_exits_2(self, tmp_path, capsys, flag, count):
+        out_dir = tmp_path / "bench"
+        assert main(["synth-data", "--out", str(out_dir), flag, count]) == 2
+        assert f"{flag[2:].replace('-', '_')} must be >= 1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 def npz_bytes(**arrays) -> bytes:
     buf = io.BytesIO()
@@ -430,6 +438,9 @@ class TestMalformedConfig:
     @example(("synth-wsms-tiny", "train", "epoch", 3))
     @example(("synth-wsms-tiny", "data", "noise", -1))
     @example(("synth-wsms-tiny", "data", "nosie", 0.1))
+    @example(("synth-wsms-tiny", "data", "test_per_class", 0))
+    @example(("synth-wsms-tiny", "data", "train_per_class", 0))
+    @example(("synth-wsms-tiny", "data", "train_per_class", -3))
     @example(("synth-wsms-tiny", "model", "stgaes", 2))
     @example(("synth-wsms-tiny", "backbone", "chanels", [8, 16]))
     @example(("densenet24", "backbone", "growht", 12))

@@ -59,6 +59,18 @@ class TestBinaryCodec:
         np.testing.assert_allclose(ds.images, images.astype(np.float32) / 255.0)
         np.testing.assert_array_equal(ds.ids, np.arange(3))
 
+    def test_load_scales_as_the_float32_copy_did(self, tmp_path):
+        """The cast-as-it-divides scaling gives ``astype(float32) / 255``'s
+        bits, for every byte value and for a whole record file."""
+        every = np.arange(256, dtype=np.uint8)
+        assert (np.divide(every, np.float32(255.0), dtype=np.float32).tobytes()
+                == (every.astype(np.float32) / 255.0).tobytes())
+        images, labels = random_records(n=5, seed=2)
+        images.reshape(-1)[:256] = every
+        (tmp_path / "batch.bin").write_bytes(encode_cifar(images, labels))
+        ds = load_cifar(tmp_path / "batch.bin")
+        assert ds.images.tobytes() == (images.astype(np.float32) / 255.0).tobytes()
+
 
 class TestNormalization:
     def test_train_statistics_become_standard(self):

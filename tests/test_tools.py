@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,25 @@ class TestBenchPairs:
         assert result["metrics"] == {}
         assert result["rusage"]["minor_faults"] >= (64 << 20) // 4096
         assert result["rusage"]["cpu_s"] > 0
+
+    def test_run_once_passes_malloc_settings_and_keeps_the_protocol(self, bench_pairs, tmp_path):
+        (tmp_path / "perfbench").mkdir()
+        (tmp_path / "perfbench" / "run.py").write_text(
+            "import json, os\n"
+            "print(json.dumps({'protocol': {'blas_threads': '1'}}))\n"
+            "print(json.dumps({'metrics': {}, 'pad': os.environ.get('MALLOC_TOP_PAD_')}))\n")
+        fixed = bench_pairs.run_once(tmp_path, "w", 0, 1, bench_pairs.FIXED_MALLOC)
+        assert fixed["pad"] == bench_pairs.FIXED_MALLOC["MALLOC_TOP_PAD_"]
+        assert fixed["protocol"] == {"blas_threads": "1"}
+
+    def test_shared_protocol_keeps_the_fields_every_run_shares(self, bench_pairs):
+        def runs(*seeds):
+            return [{"protocol": {"seed": s, "blas_threads": "1"}} for s in seeds]
+        assert bench_pairs.shared_protocol({"parent": runs(1, 2), "change": runs(1, 2)}) == \
+            {"blas_threads": "1"}
+
+    def test_records_are_appended_one_per_invocation(self, bench_pairs, tmp_path):
+        path = tmp_path / "BENCH_w.json"
+        bench_pairs.append_record(path, {"pairs": 1})
+        bench_pairs.append_record(path, {"pairs": 2})
+        assert [r["pairs"] for r in json.loads(path.read_text())] == [1, 2]

@@ -3,11 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wsmsnet import ops
-from wsmsnet.autodiff import Tape, Tensor
+from test_layout import INPUT, wsms_specs
+from wsmsnet import ops, trainer
+from wsmsnet.autodiff import Tape, Tensor, using_precision
 from wsmsnet.cost import cost_report
-from wsmsnet.model import build_model, image_pyramid
+from wsmsnet.data import Dataset
+from wsmsnet.model import Model, build_model, image_pyramid
 from wsmsnet.specs import INTEGRATIONS, SHARINGS, ConvNet, DenseNet, ResNet, WsmsSpec
 
 
@@ -223,6 +226,59 @@ class TestEvalInPlace:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * activation
+
+
+class TestEvalPasses:
+    """With no tape, eval runs the features in passes of ``Model.eval_pass``
+    examples and the classifier once over all rows; the logits must be the
+    recorded single pass's, bit for bit, and no activation array may span
+    the whole batch."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(wsms_specs(), st.sampled_from(["f32", "f64"]), st.booleans())
+    def test_passes_give_the_single_pass_logits(self, spec, precision, one_per_pass):
+        with using_precision(precision), pytest.MonkeyPatch.context() as patch:
+            if one_per_pass:
+                patch.setattr(ops, "COLUMN_BLOCK_BYTES", 1)
+            model = eval_model(spec)
+            step = model.eval_pass(batch((1, 3, INPUT, INPUT)))
+            assert step == 1 or not one_per_pass
+            n = step + 3
+            x = batch((n, 3, INPUT, INPUT), seed=16)
+            passes = []
+            features = Model.features
+
+            def counted(self, y, training):
+                passes.append(y.shape[0])
+                return features(self, y, training)
+            patch.setattr(Model, "features", counted)
+            untaped = model.forward(x, training=False).data
+            assert passes == [min(step, n - s) for s in range(0, n, step)]
+            with Tape() as tape:
+                taped = model.forward(x, training=False).data
+            tape.release()
+        assert untaped.dtype == taped.dtype == np.dtype(precision.replace("f", "float"))
+        assert untaped.tobytes() == taped.tobytes()
+
+    def test_evaluate_holds_no_batch_wide_activation(self):
+        """evaluate() of 256 examples at 16 channels, 32x32 runs passes of 16:
+        its peak is the batch's image copy (3/16 of one activation array over
+        the batch) and a few pass-sized arrays, not the three batch-wide
+        arrays of one pass."""
+        spec = WsmsSpec(ResNet(n=2, class_count=3, channels=(16,)), stages=1, integration="none")
+        model = build_model(spec, seed=0)
+        n = 256
+        rng = np.random.default_rng(17)
+        ds = Dataset(rng.standard_normal((n, 3, 32, 32)).astype(np.float32),
+                     np.arange(n) % 3, np.arange(n), 3)
+        activation = n * 16 * 32 * 32 * 4  # 16 MiB
+        tracemalloc.start()
+        try:
+            trainer.evaluate(model, ds, batch_size=n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * activation
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
 """Run the benchmark in alternating parent/change pairs and summarise them.
 
-    python3 tools/bench_pairs.py REV WORKLOAD N [--seed0 K]
+    python3 tools/bench_pairs.py REV WORKLOAD N [--seed0 K] [--fixed-malloc]
 
 The change is the tracked files of the checkout this script lives in, as
 they stand on disk, staged or not (``git stash create``; untracked files are
@@ -23,6 +23,15 @@ gives each run's minor page faults and CPU seconds (user plus system), the
 included: each side's median and the (parent, change) values of every pair.
 Progress goes to standard error.
 
+The same object, with a ``protocol`` entry, is appended to the JSON list in
+``BENCH_<WORKLOAD>.json`` at the root of the checkout, one record per
+invocation. The protocol holds the pair count and order, the glibc malloc
+settings of the children, the machine, and every field of ``run.py``'s own
+protocol line that all runs share (BLAS threads and version, warm-up, median
+rule). With ``--fixed-malloc`` every child of both sides starts with the
+settings of ``FIXED_MALLOC`` in its environment; without it, with glibc's
+defaults, as the benchmark itself runs.
+
 Needs Python 3.10.12, 3.11.4 or 3.12 and later, whose ``tarfile`` has the
 ``data`` extraction filter: it keeps the exported paths inside the temporary
 directory.
@@ -33,15 +42,26 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import platform
 import resource
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
+# Setting any of these turns off glibc's sliding mmap threshold, which moves
+# with the largest block freed so far, so the heap's layout follows the
+# program's allocations alone. The values are where that threshold and its
+# trim threshold stop on 64-bit glibc (32 MiB, twice that), and the default
+# top pad (128 KiB).
+FIXED_MALLOC = {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "67108864",
+                "MALLOC_TOP_PAD_": "131072"}
 
 
 def git(*args: str) -> str:
@@ -61,16 +81,22 @@ def cpu_s(usage) -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """The result line of one ``run.py`` process in ``tree``, with the
-    process's minor faults and CPU seconds added under ``rusage``."""
+def run_once(tree: Path, workload: str, seed: int, seconds: int,
+             malloc: Optional[dict] = None) -> dict:
+    """The result line of one ``run.py`` process in ``tree``, started with
+    ``malloc`` added to its environment, with the process's minor faults and
+    CPU seconds added under ``rusage`` and its protocol line, if it printed
+    one, under ``protocol``."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, check=True, capture_output=True, text=True)
+        cwd=tree, check=True, capture_output=True, text=True,
+        env={**os.environ, **(malloc or {})})
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    result["protocol"] = json.loads(lines[-2])["protocol"] if len(lines) > 1 else {}
     result["rusage"] = {"minor_faults": after.ru_minflt - before.ru_minflt,
                         "cpu_s": cpu_s(after) - cpu_s(before)}
     return result
@@ -110,12 +136,27 @@ def usage(results: dict) -> dict:
     return counts
 
 
+def shared_protocol(results: dict) -> dict:
+    """The fields of the runs' own protocol records that every run shares."""
+    runs = [r["protocol"] for rs in results.values() for r in rs]
+    return {k: v for k, v in runs[0].items() if all(run.get(k) == v for run in runs)}
+
+
+def append_record(path: Path, record: dict) -> None:
+    """Add ``record`` to the JSON list in ``path``, starting the list if absent."""
+    records = json.loads(path.read_text()) if path.exists() else []
+    records.append(record)
+    path.write_text(json.dumps(records, indent=1) + "\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="parent commit")
     parser.add_argument("workload")
     parser.add_argument("pairs", type=int)
     parser.add_argument("--seed0", type=int, default=100, help="seed of the first pair")
+    parser.add_argument("--fixed-malloc", action="store_true",
+                        help="start every run with the glibc malloc settings of FIXED_MALLOC")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seed0 < 0:
         parser.error("N must be >= 1 and --seed0 >= 0")
@@ -124,6 +165,7 @@ def main(argv=None) -> int:
     parent_id = git("rev-parse", args.rev)
     change_id = git("rev-parse", "HEAD") + ("+dirty" if git("status", "--porcelain") else "")
     revs = {"parent": parent_id, "change": git("stash", "create") or git("rev-parse", "HEAD")}
+    malloc = FIXED_MALLOC if args.fixed_malloc else {}
     results = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
@@ -133,21 +175,31 @@ def main(argv=None) -> int:
             seed = args.seed0 + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_once(trees[side], args.workload, seed, seconds)
+                result = run_once(trees[side], args.workload, seed, seconds, malloc)
                 results[side].append(result)
                 rate = result["metrics"]["examples_per_s"]["value"]
                 faults = result["rusage"]["minor_faults"]
                 print(f"pair {i} seed {seed} {side}: {rate:.3f} ex/s, {faults} minor faults",
                       file=sys.stderr, flush=True)
-    print(json.dumps({
+    record = {
         "workload": args.workload, "parent": parent_id, "change": change_id,
+        "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "protocol": {
+            "pairs": args.pairs,
+            "order": "one run at a time; the parent first in even pairs, the change in odd ones",
+            "malloc": malloc or "glibc defaults",
+            "machine": platform.machine(),
+            "run": shared_protocol(results),
+        },
         "seconds": seconds, "seeds": [args.seed0 + i for i in range(args.pairs)],
         "metrics": summarise(results, benchmark["end_to_end"]),
         "rusage": usage(results),
         "correct": {side: [r["correct"] for r in rs] for side, rs in results.items()},
         "failed_share": {side: [r["failed"] / r["attempted"] if r["attempted"] else None
                                 for r in rs] for side, rs in results.items()},
-    }, indent=1))
+    }
+    append_record(ROOT / f"BENCH_{args.workload}.json", record)
+    print(json.dumps(record, indent=1))
     return 0
 
 
