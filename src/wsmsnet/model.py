@@ -169,9 +169,10 @@ class Model:
     def eval_pass(self, x: Tensor) -> int:
         """Examples per eval pass over ``x``: as many as keep the widest
         per-example activation of the cost rows within the conv's column
-        block budget (``ops.COLUMN_BLOCK_BYTES``), and at least one."""
+        block budget (``ops.COLUMN_BLOCK_BYTES``). Zero when one example's
+        is already wider: no pass then stays in cache."""
         widest = max(math.prod(r.out_shape) for r in cost_report(self.spec, x.shape[2:]).rows)
-        return max(1, ops.COLUMN_BLOCK_BYTES // (widest * x.dtype.itemsize))
+        return ops.COLUMN_BLOCK_BYTES // (widest * x.dtype.itemsize)
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         """Classify ``x`` from its :meth:`features`.
@@ -179,7 +180,10 @@ class Model:
         In eval mode with no tape active the features are computed in passes
         of :meth:`eval_pass` examples, so no activation array spans the whole
         batch; the passes are joined and the classifier runs once over all N
-        rows. Eval-mode batch norm maps each example on its own, so a pass
+        rows. Where no pass fits the budget (``eval_pass`` is 0), the batch
+        runs as one pass: passes of one example would only call every op
+        once per example, which made DenseNet eval slower, not faster.
+        Eval-mode batch norm maps each example on its own, so a pass
         gives its examples the bits the whole batch gives them, but the
         classifier's GEMM may round a row differently for another row count,
         so it keeps seeing the batch. Training couples examples through batch
@@ -187,8 +191,8 @@ class Model:
         is checked against, so both run as one pass.
         """
         n = x.shape[0]
-        step = n if training or taping() or x.ndim != 4 else self.eval_pass(x)
-        if step >= n:
+        step = 0 if training or taping() or x.ndim != 4 else self.eval_pass(x)
+        if not 0 < step < n:
             return self.fc(self.features(x, training))
         parts = [self.features(Tensor(x.data[s:s + step], dtype=x.dtype), training).data
                  for s in range(0, n, step)]

@@ -68,15 +68,14 @@ class TestBenchPairs:
         assert result["rusage"]["minor_faults"] >= (64 << 20) // 4096
         assert result["rusage"]["cpu_s"] > 0
 
-    def test_run_once_passes_malloc_settings_and_keeps_the_protocol(self, bench_pairs, tmp_path):
+    def test_run_once_keeps_the_protocol(self, bench_pairs, tmp_path):
         (tmp_path / "perfbench").mkdir()
         (tmp_path / "perfbench" / "run.py").write_text(
-            "import json, os\n"
+            "import json\n"
             "print(json.dumps({'protocol': {'blas_threads': '1'}}))\n"
-            "print(json.dumps({'metrics': {}, 'pad': os.environ.get('MALLOC_TOP_PAD_')}))\n")
-        fixed = bench_pairs.run_once(tmp_path, "w", 0, 1, bench_pairs.FIXED_MALLOC)
-        assert fixed["pad"] == bench_pairs.FIXED_MALLOC["MALLOC_TOP_PAD_"]
-        assert fixed["protocol"] == {"blas_threads": "1"}
+            "print(json.dumps({'metrics': {}}))\n")
+        result = bench_pairs.run_once(tmp_path, "w", 0, 1)
+        assert result["protocol"] == {"blas_threads": "1"}
 
     def test_shared_protocol_keeps_the_fields_every_run_shares(self, bench_pairs):
         def runs(*seeds):

@@ -227,22 +227,43 @@ class TestEvalInPlace:
             tracemalloc.stop()
         assert peak < 3.5 * activation
 
+    def test_residual_features_hold_three_activations(self):
+        """The same bound on ``features``, one pass of the whole batch:
+        ``forward`` runs a batch of 64 in passes, whose peak stays under the
+        bound with or without the in-place path."""
+        spec = WsmsSpec(ResNet(n=2, class_count=3, channels=(16,)), stages=1, integration="none")
+        model = build_model(spec, seed=0)
+        x = Tensor(np.random.default_rng(15).standard_normal((64, 3, 32, 32)))
+        activation = 64 * 16 * 32 * 32 * 4  # 4 MiB
+        tracemalloc.start()
+        try:
+            model.features(x, training=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * activation
+
 
 class TestEvalPasses:
     """With no tape, eval runs the features in passes of ``Model.eval_pass``
     examples and the classifier once over all rows; the logits must be the
     recorded single pass's, bit for bit, and no activation array may span
-    the whole batch."""
+    the whole batch unless no pass fits the budget."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(wsms_specs(), st.sampled_from(["f32", "f64"]), st.booleans())
-    def test_passes_give_the_single_pass_logits(self, spec, precision, one_per_pass):
+    @given(wsms_specs(), st.sampled_from(["f32", "f64"]),
+           st.sampled_from(["budget", "one", "none"]))
+    def test_passes_give_the_single_pass_logits(self, spec, precision, rule):
+        """P from the budget, P forced to 1, and a budget no example fits,
+        which runs one pass of the whole batch."""
         with using_precision(precision), pytest.MonkeyPatch.context() as patch:
-            if one_per_pass:
+            if rule == "one":
+                patch.setattr(Model, "eval_pass", lambda self, x: 1)
+            if rule == "none":
                 patch.setattr(ops, "COLUMN_BLOCK_BYTES", 1)
             model = eval_model(spec)
             step = model.eval_pass(batch((1, 3, INPUT, INPUT)))
-            assert step == 1 or not one_per_pass
+            assert (step == 0) == (rule == "none")
             n = step + 3
             x = batch((n, 3, INPUT, INPUT), seed=16)
             passes = []
@@ -253,7 +274,7 @@ class TestEvalPasses:
                 return features(self, y, training)
             patch.setattr(Model, "features", counted)
             untaped = model.forward(x, training=False).data
-            assert passes == [min(step, n - s) for s in range(0, n, step)]
+            assert passes == ([min(step, n - s) for s in range(0, n, step)] if step else [n])
             with Tape() as tape:
                 taped = model.forward(x, training=False).data
             tape.release()

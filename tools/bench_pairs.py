@@ -1,6 +1,6 @@
 """Run the benchmark in alternating parent/change pairs and summarise them.
 
-    python3 tools/bench_pairs.py REV WORKLOAD N [--seed0 K] [--fixed-malloc]
+    python3 tools/bench_pairs.py REV WORKLOAD N [--seed0 K]
 
 The change is the tracked files of the checkout this script lives in, as
 they stand on disk, staged or not (``git stash create``; untracked files are
@@ -25,12 +25,10 @@ Progress goes to standard error.
 
 The same object, with a ``protocol`` entry, is appended to the JSON list in
 ``BENCH_<WORKLOAD>.json`` at the root of the checkout, one record per
-invocation. The protocol holds the pair count and order, the glibc malloc
-settings of the children, the machine, and every field of ``run.py``'s own
-protocol line that all runs share (BLAS threads and version, warm-up, median
-rule). With ``--fixed-malloc`` every child of both sides starts with the
-settings of ``FIXED_MALLOC`` in its environment; without it, with glibc's
-defaults, as the benchmark itself runs.
+invocation. The protocol holds the pair count and order, the children's
+malloc settings (glibc's defaults, as the benchmark itself runs), the
+machine, and every field of ``run.py``'s own protocol line that all runs
+share (BLAS threads and version, warm-up, median rule).
 
 Needs Python 3.10.12, 3.11.4 or 3.12 and later, whose ``tarfile`` has the
 ``data`` extraction filter: it keeps the exported paths inside the temporary
@@ -42,7 +40,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import platform
 import resource
 import statistics
@@ -52,16 +49,8 @@ import tarfile
 import tempfile
 import time
 from pathlib import Path
-from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
-# Setting any of these turns off glibc's sliding mmap threshold, which moves
-# with the largest block freed so far, so the heap's layout follows the
-# program's allocations alone. The values are where that threshold and its
-# trim threshold stop on 64-bit glibc (32 MiB, twice that), and the default
-# top pad (128 KiB).
-FIXED_MALLOC = {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "67108864",
-                "MALLOC_TOP_PAD_": "131072"}
 
 
 def git(*args: str) -> str:
@@ -81,18 +70,15 @@ def cpu_s(usage) -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int,
-             malloc: Optional[dict] = None) -> dict:
-    """The result line of one ``run.py`` process in ``tree``, started with
-    ``malloc`` added to its environment, with the process's minor faults and
-    CPU seconds added under ``rusage`` and its protocol line, if it printed
-    one, under ``protocol``."""
+def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+    """The result line of one ``run.py`` process in ``tree``, with the
+    process's minor faults and CPU seconds added under ``rusage`` and its
+    protocol line, if it printed one, under ``protocol``."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, check=True, capture_output=True, text=True,
-        env={**os.environ, **(malloc or {})})
+        cwd=tree, check=True, capture_output=True, text=True)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1])
@@ -155,8 +141,6 @@ def main(argv=None) -> int:
     parser.add_argument("workload")
     parser.add_argument("pairs", type=int)
     parser.add_argument("--seed0", type=int, default=100, help="seed of the first pair")
-    parser.add_argument("--fixed-malloc", action="store_true",
-                        help="start every run with the glibc malloc settings of FIXED_MALLOC")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seed0 < 0:
         parser.error("N must be >= 1 and --seed0 >= 0")
@@ -165,7 +149,6 @@ def main(argv=None) -> int:
     parent_id = git("rev-parse", args.rev)
     change_id = git("rev-parse", "HEAD") + ("+dirty" if git("status", "--porcelain") else "")
     revs = {"parent": parent_id, "change": git("stash", "create") or git("rev-parse", "HEAD")}
-    malloc = FIXED_MALLOC if args.fixed_malloc else {}
     results = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
@@ -175,7 +158,7 @@ def main(argv=None) -> int:
             seed = args.seed0 + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_once(trees[side], args.workload, seed, seconds, malloc)
+                result = run_once(trees[side], args.workload, seed, seconds)
                 results[side].append(result)
                 rate = result["metrics"]["examples_per_s"]["value"]
                 faults = result["rusage"]["minor_faults"]
@@ -187,7 +170,7 @@ def main(argv=None) -> int:
         "protocol": {
             "pairs": args.pairs,
             "order": "one run at a time; the parent first in even pairs, the change in odd ones",
-            "malloc": malloc or "glibc defaults",
+            "malloc": "glibc defaults",
             "machine": platform.machine(),
             "run": shared_protocol(results),
         },
