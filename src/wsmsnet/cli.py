@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 DATA_ROOT_ENV = "WSMSNET_DATA"
@@ -176,6 +176,7 @@ def _check_class_count(ds, class_count: int) -> None:
 
 def cmd_train(args) -> int:
     from . import __version__
+    from .cost import cost_report
     from .model import build_model
     from .specs import ConfigError, config_object, model_from_config, model_to_config
     from .trainer import TrainConfig, train
@@ -187,6 +188,7 @@ def cmd_train(args) -> int:
     tcfg = TrainConfig.from_dict({**config_object(cfg.get("train", {}), "train"), **overrides})
     train_ds, eval_ds, mean, std, data_manifest = _resolve_datasets(cfg, args.data, args.seed)
     _check_class_count(train_ds, spec.class_count)
+    cost_report(spec, train_ds.images.shape[2:])  # raises if the model cannot take the images
 
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -254,11 +256,8 @@ def cmd_eval(args) -> int:
 def cmd_synth_data(args) -> int:
     from .data import SynthScaleConfig, save_synth
 
-    cfg = SynthScaleConfig.from_dict({
-        "class_count": args.classes, "image_size": args.image_size,
-        "train_scales": args.train_scales, "test_scales": args.test_scales,
-        "train_per_class": args.train_per_class, "test_per_class": args.test_per_class,
-        "noise": args.noise, "seed": args.seed})
+    given = {f.name: getattr(args, f.name) for f in fields(SynthScaleConfig)}
+    cfg = SynthScaleConfig.from_dict({k: v for k, v in given.items() if v is not None})
     manifest = save_synth(args.out, cfg)
     total = sum(info["examples"] for info in manifest["splits"].values())
     print(f"wrote {total} examples across {len(manifest['splits'])} splits to {args.out}")
@@ -320,14 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth-data", help="render the synthetic scale benchmark to disk")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--image-size", type=int, default=32)
-    p.add_argument("--train-scales", type=float, nargs=2, default=(0.6, 1.0))
-    p.add_argument("--test-scales", type=float, nargs=2, default=(0.3, 0.5))
-    p.add_argument("--train-per-class", type=int, default=400)
-    p.add_argument("--test-per-class", type=int, default=100)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    # each flag sets the SynthScaleConfig field of its dest; the defaults are that class's
+    p.add_argument("--classes", type=int, dest="class_count", metavar="CLASSES")
+    p.add_argument("--image-size", type=int)
+    p.add_argument("--train-scales", type=float, nargs=2)
+    p.add_argument("--test-scales", type=float, nargs=2)
+    p.add_argument("--train-per-class", type=int)
+    p.add_argument("--test-per-class", type=int)
+    p.add_argument("--noise", type=float)
+    p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_synth_data)
 
     p = sub.add_parser("compare-preds",

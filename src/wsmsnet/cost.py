@@ -82,7 +82,7 @@ def cost_report(spec: WsmsSpec, input_hw: Tuple[int, int] = (32, 32)) -> CostRep
                 else:
                     rows.append(LayerRow(site.path, "bn", stage, 2 * site.channels, 0,
                                          (site.channels, h, w)))
-            if unit.kind in ("transition", "pool"):  # both end in 2x2 average pooling
+            if unit.kind == "transition":  # ends in 2x2 average pooling
                 if h % 2 or w % 2:
                     raise ConfigError(f"stage{stage}.block{unit.block}.{unit.kind}: spatial "
                                       f"extents {h}x{w} must be even to pool")

@@ -91,7 +91,7 @@ def run_unit(unit: Unit, layers: list, x: Tensor, training: bool) -> Tensor:
             y = relu(layer(y, training, **into), **into)
     if unit.kind == "dense":
         return concat_channels([x, y])
-    if unit.kind in ("transition", "pool"):
+    if unit.kind == "transition":
         return avg_pool_half(y)
     return y
 

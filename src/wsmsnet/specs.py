@@ -1,15 +1,15 @@
 """Declarative descriptions of backbones and their multi-stage wrapping.
 
-A backbone is a stem convolution followed by pooling-delimited convolution
-blocks; downsampling always happens at the entry of a block, so truncating
-the trailing blocks of any stage leaves every pathway at the same spatial
-extent. A backbone spec holds exactly its family's config settings
-(:class:`ResNet`, :class:`DenseNet`, :class:`ConvNet`), field for field in
-config key order, and checks them when it is constructed, so a spec that
-exists is valid. :func:`stage_units` is the one place a family's layout is
-spelled out, and the one walk over a spec: the runtime builder instantiates
-the layer sites it yields and the static cost model counts them, so a runtime
-layer's name is its cost row's path.
+A backbone is one of the two families the paper wraps, :class:`ResNet` or
+:class:`DenseNet`: a stem convolution followed by convolution blocks.
+Downsampling always happens at the entry of a block, so truncating the
+trailing blocks of any stage leaves every pathway at the same spatial
+extent. A backbone spec holds exactly its family's config settings, field
+for field in config key order, and checks them when it is constructed, so a
+spec that exists is valid. :func:`stage_units` is the one place a family's
+layout is spelled out, and the one walk over a spec: the runtime builder
+instantiates the layer sites it yields and the static cost model counts them,
+so a runtime layer's name is its cost row's path.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import (ClassVar, Iterator, Optional, Tuple, Union, get_args, get_or
 
 INTEGRATIONS = ("none", "conv1x1", "conv3x3")
 SHARINGS = ("shared", "unshared")
-FAMILIES = ("resnet", "densenet", "conv")
+FAMILIES = ("resnet", "densenet")
 
 
 class ConfigError(ValueError):
@@ -46,8 +46,6 @@ def _tuples(value):
 
 def _kind(hint) -> str:
     """The JSON kind a field annotated ``hint`` takes, as messages name it."""
-    if get_origin(hint) is Union:
-        return " or ".join(_kind(arm) for arm in get_args(hint) if arm is not type(None))
     return _KINDS.get(hint, "list" if get_origin(hint) is tuple else "object")
 
 
@@ -90,8 +88,7 @@ def read_config(cls, cfg, section: str):
         try:
             values[f.name] = _fit(hint, value)
         except TypeError:
-            plain = f.default in (MISSING, None) or get_origin(hint) is Union
-            expected = _kind(hint) if plain else f"like {f.default!r}"
+            expected = _kind(hint) if f.default is MISSING else f"like {f.default!r}"
             raise ConfigError(f"{section} config: {f.name} must be {expected}, "
                               f"got {value!r}") from None
     try:
@@ -159,60 +156,21 @@ class DenseNet:
         _check_sizes(self.class_count, self.stem_channels, ())
 
 
-@dataclass(frozen=True, kw_only=True)
-class ConvNet:
-    """Plain backbone: a stem conv, then per block ``convs_per_block[i]``
-    conv3x3-BN-ReLU units at width ``block_widths[i]``. Every block after the
-    first enters through 2x2 average pooling; a block of zero convs is only
-    that pooling and keeps the previous width.
-
-    One int ``convs_per_block`` gives every block that many convs, and the stem
-    is as wide as the first block unless ``stem_channels`` says otherwise."""
-    family: ClassVar[str] = "conv"
-    stem_channels: Optional[int] = None
-    block_widths: Tuple[int, ...]
-    convs_per_block: Union[int, Tuple[int, ...]] = 1
-    class_count: int
-
-    def __post_init__(self) -> None:
-        if isinstance(self.convs_per_block, int):
-            object.__setattr__(self, "convs_per_block",
-                               (self.convs_per_block,) * len(self.block_widths))
-        if self.stem_channels is None:
-            object.__setattr__(self, "stem_channels",
-                               self.block_widths[0] if self.block_widths else 0)
-        if not self.block_widths:
-            raise ConfigError("conv config needs a non-empty 'block_widths' list")
-        if len(self.convs_per_block) != len(self.block_widths):
-            raise ConfigError("convs_per_block must match block_widths in length")
-        prev = self.stem_channels
-        for b, (width, convs) in enumerate(zip(self.block_widths, self.convs_per_block), 1):
-            if convs < 0:
-                raise ConfigError(f"block {b} conv count must be >= 0, got {convs}")
-            if convs == 0 and width != prev:
-                raise ConfigError(f"block {b} has no convs and cannot change width "
-                                  f"{prev} -> {width}")
-            prev = width
-        _check_sizes(self.class_count, self.stem_channels, self.block_widths)
-
-
-BackboneSpec = Union[ResNet, DenseNet, ConvNet]
+BackboneSpec = Union[ResNet, DenseNet]
 
 
 def block_count(backbone: BackboneSpec) -> int:
     """k, the number of pooling-delimited blocks after the stem."""
     if isinstance(backbone, DenseNet):
         return backbone.blocks
-    return len(backbone.channels if isinstance(backbone, ResNet) else backbone.block_widths)
+    return len(backbone.channels)
 
 
 def block_width(backbone: BackboneSpec, b: int) -> int:
     """Output width of block ``b`` (1-based); block 0 is the stem."""
     if isinstance(backbone, DenseNet):
         return backbone.stem_channels + backbone.growth * backbone.layers_per_block * b
-    if isinstance(backbone, ResNet):
-        return backbone.channels[max(b - 1, 0)]
-    return backbone.block_widths[b - 1] if b else backbone.stem_channels
+    return backbone.channels[max(b - 1, 0)]
 
 
 @dataclass(frozen=True)
@@ -294,9 +252,9 @@ class BnSite:
 class Unit:
     """One executable unit with its layer sites in execution order.
 
-    ``kind`` is stem, residual, dense, transition, conv, pool, tail or
-    integration. ``block`` is the 1-based backbone block the unit belongs to,
-    0 for the stem, the tail and the integration.
+    ``kind`` is stem, residual, dense, transition, tail or integration.
+    ``block`` is the 1-based backbone block the unit belongs to, 0 for the
+    stem, the tail and the integration.
     """
     kind: str
     block: int
@@ -331,7 +289,7 @@ def stage_units(spec: WsmsSpec, stage: int) -> Iterator[Unit]:
                     ConvSite(f"{c}.unit{u}.conv2", out, out),
                     BnSite(f"{n}.unit{u}.bn2", out)))
                 width = out
-        elif dense:
+        else:
             if b > 1:
                 yield Unit("transition", b, (
                     ConvSite(f"{c}.transition.conv", width, width, kernel=1),
@@ -340,15 +298,6 @@ def stage_units(spec: WsmsSpec, stage: int) -> Iterator[Unit]:
                 yield Unit("dense", b, (BnSite(f"{n}.layer{li}.bn", width),
                                         ConvSite(f"{c}.layer{li}.conv", width, backbone.growth)))
                 width += backbone.growth
-        else:
-            if b > 1:
-                yield Unit("pool", b)
-            out = backbone.block_widths[b - 1]
-            for u in range(backbone.convs_per_block[b - 1]):
-                yield Unit("conv", b, (
-                    ConvSite(f"{c}.unit{u}.conv", width, out),
-                    BnSite(f"{n}.unit{u}.bn", out)))
-                width = out
     if dense:
         yield Unit("tail", 0, (BnSite(norm + "tail.bn", width),))
 
@@ -367,7 +316,7 @@ def integration_unit(spec: WsmsSpec) -> Optional[Unit]:
 def backbone_from_config(cfg: dict) -> BackboneSpec:
     """Read a backbone's settings, picking its class by the ``family`` key."""
     family = config_object(cfg, "backbone").get("family")
-    for cls in (ResNet, DenseNet, ConvNet):
+    for cls in (ResNet, DenseNet):
         if family == cls.family:
             return read_config(cls, {k: v for k, v in cfg.items() if k != "family"}, family)
     raise ConfigError(f"unknown backbone family {family!r}; expected one of {FAMILIES}")

@@ -226,14 +226,20 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
     start = time.perf_counter()
     best_error = math.inf
     n = len(train_ds)
-    try:
+
+    def end_epoch(epoch: int, lr=None, train_loss=None, train_error=None) -> None:
+        """Evaluate, record and emit ``epoch``; save it if its test error is the best."""
+        nonlocal best_error
         test_error = evaluate(model, eval_ds)[0] if eval_ds is not None else None
-        records.append(MetricsRecord(0, None, None, None, test_error,
+        records.append(MetricsRecord(epoch, lr, train_loss, train_error, test_error,
                                      time.perf_counter() - start))
         emit(records[-1])
-        if run_dir is not None and test_error is not None:
+        if run_dir is not None and test_error is not None and test_error < best_error:
             best_error = test_error
             save_checkpoint(model, run_dir / "checkpoint-best.npz")
+
+    try:
+        end_epoch(0)
         for epoch in range(1, config.epochs + 1):
             lr = lr_at(config.lr_schedule, epoch)
             order = np.random.default_rng((config.seed, epoch)).permutation(n)
@@ -258,16 +264,7 @@ def train(model: Model, train_ds: Dataset, config: TrainConfig,
                                   config.momentum, config.weight_decay)
                 loss_sum += value * len(batch)
                 wrong += int((logits.data.argmax(axis=1) != labels).sum())
-            test_error = None
-            if eval_ds is not None:
-                test_error = evaluate(model, eval_ds)[0]
-            record = MetricsRecord(epoch, lr, loss_sum / n, 100.0 * wrong / n,
-                                   test_error, time.perf_counter() - start)
-            records.append(record)
-            emit(record)
-            if run_dir is not None and test_error is not None and test_error < best_error:
-                best_error = test_error
-                save_checkpoint(model, run_dir / "checkpoint-best.npz")
+            end_epoch(epoch, lr, loss_sum / n, 100.0 * wrong / n)
         if run_dir is not None:
             save_checkpoint(model, run_dir / "checkpoint-final.npz")
     finally:

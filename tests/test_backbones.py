@@ -8,7 +8,7 @@ from wsmsnet.autodiff import Tensor
 from wsmsnet.cost import cost_report
 from wsmsnet.data import CifarLimits, SynthScaleConfig
 from wsmsnet.model import build_model
-from wsmsnet.specs import (ConfigError, ConvNet, ConvSite, DenseNet, ResNet, WsmsSpec,
+from wsmsnet.specs import (ConfigError, ConvSite, DenseNet, ResNet, WsmsSpec,
                            backbone_from_config, backbone_to_config, block_width,
                            model_from_config, model_to_config, stage_plan, stage_units)
 from wsmsnet.trainer import TrainConfig
@@ -71,29 +71,6 @@ class TestDensenetSpec:
             tail = units_of(spec, 3, stage)[-1]
             assert tail.kind == "tail"
             assert tail.sites[0].channels == block_width(spec, 4 - stage)
-
-
-class TestConvBackbone:
-    def test_zero_conv_block_keeps_width(self):
-        spec = ConvNet(stem_channels=8, block_widths=(8, 8), convs_per_block=(1, 0), class_count=3)
-        assert spec.convs_per_block[1] == 0
-        assert [u.kind for u in units_of(spec) if u.block == 2] == ["pool"]
-        assert block_width(spec, 2) == 8
-
-    def test_stem_width_is_its_own_setting(self):
-        spec = ConvNet(stem_channels=5, block_widths=(8, 8), convs_per_block=1, class_count=3)
-        stem, first = units_of(spec)[:2]
-        assert stem.sites[0].out_channels == first.sites[0].in_channels == 5
-
-    def test_config_takes_one_conv_count_and_a_default_stem(self):
-        spec = backbone_from_config({"family": "conv", "block_widths": [8, 12],
-                                     "convs_per_block": 2, "class_count": 3})
-        assert spec == ConvNet(stem_channels=8, block_widths=(8, 12), convs_per_block=(2, 2),
-                               class_count=3)
-
-    def test_zero_conv_block_cannot_change_width(self):
-        with pytest.raises(ConfigError, match="cannot change width"):
-            ConvNet(stem_channels=8, block_widths=(8, 16), convs_per_block=(1, 0), class_count=3)
 
 
 class TestWsmsSpec:
@@ -164,14 +141,12 @@ class TestSettingsCheckThemselves:
          "resnet units per compartment must be >= 1, got 0"),
         (DenseNet(growth=2, class_count=3), {"growth": 0},
          "densenet growth must be >= 1, got 0"),
-        (ConvNet(block_widths=(8, 8), class_count=3), {"block_widths": ()},
-         "conv config needs a non-empty 'block_widths' list"),
         (WsmsSpec(ResNet(n=1, class_count=3)), {"stages": 99},
          "stages=99 exceeds the backbone's k=3 convolution blocks"),
         (TrainConfig(epochs=1), {"epochs": -1}, "epochs must be >= 0, got -1"),
         (SynthScaleConfig(), {"noise": -1}, "noise must be >= 0, got -1"),
         (CifarLimits(), {"train_limit": -1}, "train_limit must be >= 0, got -1"),
-    ], ids=["ResNet", "DenseNet", "ConvNet", "WsmsSpec", "TrainConfig",
+    ], ids=["ResNet", "DenseNet", "WsmsSpec", "TrainConfig",
             "SynthScaleConfig", "CifarLimits"])
     def test_replace_with_a_bad_value_raises(self, valid, change, message):
         with pytest.raises(ConfigError, match=re.escape(message)):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wsmsnet.cli import main
+from wsmsnet.data import SynthScaleConfig
 from wsmsnet.model import build_model, save_checkpoint
 from wsmsnet.specs import model_from_config
 
@@ -112,10 +114,6 @@ class TestCount:
                        "class_count": 5}}, "channels"),
         ({"backbone": {"family": "resnet", "n": 1, "channels": 16,
                        "class_count": 5}}, "channels"),
-        ({"backbone": {"family": "conv", "block_widths": [8, "8"],
-                       "class_count": 5}}, "block_widths"),
-        ({"backbone": {"family": "conv", "block_widths": [8, 8],
-                       "convs_per_block": [1, None], "class_count": 5}}, "convs_per_block"),
         ({"backbone": {"family": "resnet", "n": 1, "channels": [8, -16],
                        "class_count": 5}}, "block 2 width must be >= 1"),
         ({"backbone": {"family": "resnet", "n": 1, "channels": [0, 16],
@@ -124,15 +122,10 @@ class TestCount:
                        "class_count": 5}}, "block 2 width 8 is below the previous 16"),
         ({"backbone": {"family": "densenet", "growth": 4, "layers_per_block": 2,
                        "stem_channels": -4, "class_count": 5}}, "stem width must be >= 1"),
-        ({"backbone": {"family": "conv", "block_widths": [8, -8],
-                       "class_count": 5}}, "block 2 width must be >= 1"),
-        ({"backbone": {"family": "conv", "block_widths": [8, 8],
-                       "convs_per_block": [1, -1], "class_count": 5}}, "conv count must be >= 0"),
     ], ids=["stages", "integration_channels", "bool-stages", "layers_per_block", "blocks",
-            "channels-item", "channels-scalar", "block_widths", "convs_per_block",
+            "channels-item", "channels-scalar",
             "negative-channels", "zero-channels", "narrowing-channels",
-            "negative-stem_channels",
-            "negative-block_widths", "negative-convs_per_block"])
+            "negative-stem_channels"])
     def test_non_integer_field_exits_2(self, tmp_path, capsys, model, bad):
         body = {"backbone": {"family": "resnet", "n": 1, "channels": [8, 16],
                              "class_count": 5},
@@ -181,6 +174,12 @@ class TestSynthDataCommand:
         assert manifest["splits"]["train"]["examples"] == 20
         for info in manifest["splits"].values():
             assert (out_dir / info["file"]).exists()
+
+    def test_defaults_are_the_config_class_defaults(self, tmp_path, capsys):
+        out_dir = tmp_path / "bench"
+        assert main(["synth-data", "--out", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["config"] == json.loads(json.dumps(asdict(SynthScaleConfig())))
 
     def test_bad_value_exits_2(self, tmp_path, capsys):
         assert main(["synth-data", "--out", str(tmp_path / "bench"), "--noise", "-1"]) == 2
@@ -460,6 +459,24 @@ class TestMalformedConfig:
             assert not run_dir.exists()
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+
+    def test_unknown_family_exits_2(self, tmp_path, capsys):
+        body = load_preset("synth-wsms-tiny")
+        body["model"]["backbone"]["family"] = "conv"
+        run_dir = tmp_path / "run"
+        assert main(["train", write_config(tmp_path, body), "--out", str(run_dir)]) == 2
+        assert not run_dir.exists()
+        assert ("unknown backbone family 'conv'; expected one of ('resnet', 'densenet')"
+                in capsys.readouterr().err)
+
+    def test_images_the_model_cannot_take_exit_2_before_making_the_run_directory(
+            self, tmp_path, capsys):
+        body = load_preset("synth-wsms-tiny")
+        body["data"].update(image_size=33, train_per_class=2, test_per_class=2)
+        run_dir = tmp_path / "run"
+        assert main(["train", write_config(tmp_path, body), "--out", str(run_dir)]) == 2
+        assert not run_dir.exists()
+        assert "error: input 33x33 must divide by 2 for 2 stages" in capsys.readouterr().err
 
 
 def run_python(*args):

@@ -4,7 +4,7 @@ import pytest
 
 from wsmsnet.cost import cost_report, stage_overhead
 from wsmsnet.model import build_model
-from wsmsnet.specs import ConvNet, DenseNet, ResNet, WsmsSpec
+from wsmsnet.specs import DenseNet, ResNet, WsmsSpec
 
 RESNET = ResNet(n=18, class_count=10)
 DENSENET = DenseNet(growth=24, class_count=10)
@@ -91,9 +91,7 @@ class TestStaticDynamicAgreement:
         WsmsSpec(ResNet(n=2, class_count=7), 3, "conv3x3", 32),
         WsmsSpec(ResNet(n=2, class_count=7), 2, "conv1x1", 32, sharing="unshared"),
         WsmsSpec(DenseNet(growth=4, class_count=5, layers_per_block=3, blocks=2), 2, "conv1x1", 8),
-        WsmsSpec(ConvNet(stem_channels=8, block_widths=(8, 12), convs_per_block=1,
-                         class_count=5), 2),
-    ], ids=["tiny-1", "tiny-2", "res-3x3", "res-unshared", "dense", "plain-conv"])
+    ], ids=["tiny-1", "tiny-2", "res-3x3", "res-unshared", "dense"])
     def test_count_matches_instantiated_store(self, spec):
         assert cost_report(spec).total_params == build_model(spec, 0).param_count()
 

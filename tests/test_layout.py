@@ -23,7 +23,7 @@ from wsmsnet import layers, model as wmodel, ops
 from wsmsnet.autodiff import Tape, Tensor, push, recording
 from wsmsnet.cost import cost_report
 from wsmsnet.model import build_model, image_pyramid, run_unit
-from wsmsnet.specs import (FAMILIES, INTEGRATIONS, SHARINGS, ConvNet, DenseNet, ResNet,
+from wsmsnet.specs import (FAMILIES, INTEGRATIONS, SHARINGS, DenseNet, ResNet,
                            WsmsSpec, block_count, integration_unit, model_from_config,
                            model_to_config, stage_units)
 
@@ -34,9 +34,6 @@ CLONE_GRAD_ATOL = 1e-10  # f64 gradients of tiny models, summed over at most thr
 TINY_BACKBONES = {
     "resnet": ResNet(n=1, class_count=3, channels=(4, 6, 8)),
     "densenet": DenseNet(growth=2, class_count=3, layers_per_block=2, blocks=3, stem_channels=4),
-    # the middle block holds no conv, only its entry pooling
-    "conv": ConvNet(stem_channels=4, block_widths=(4, 4, 6), convs_per_block=(1, 0, 2),
-                    class_count=3),
 }
 GRID = {
     f"{family}-{stages}-{integration}-{sharing}":
@@ -208,25 +205,16 @@ WIDTHS = st.integers(1, 6)
 @st.composite
 def backbones(draw):
     """A valid tiny backbone of any family with 1..3 blocks: resnet widths
-    never narrow, and a conv block of zero convs keeps the previous width."""
+    never narrow."""
     family, k = draw(st.sampled_from(FAMILIES)), draw(st.integers(1, 3))
     class_count = draw(st.integers(2, 4))
     if family == "resnet":
         widths = sorted(draw(st.lists(WIDTHS, min_size=k, max_size=k)))
         return ResNet(n=draw(st.integers(1, 2)), class_count=class_count,
                       channels=tuple(widths))
-    if family == "densenet":
-        return DenseNet(growth=draw(st.integers(1, 3)), class_count=class_count,
-                        layers_per_block=draw(st.integers(1, 2)), blocks=k,
-                        stem_channels=draw(WIDTHS))
-    stem = width = draw(WIDTHS)
-    widths, convs = [], []
-    for _ in range(k):
-        convs.append(draw(st.integers(0, 2)))
-        width = draw(WIDTHS) if convs[-1] else width
-        widths.append(width)
-    return ConvNet(stem_channels=stem, block_widths=tuple(widths), convs_per_block=tuple(convs),
-                   class_count=class_count)
+    return DenseNet(growth=draw(st.integers(1, 3)), class_count=class_count,
+                    layers_per_block=draw(st.integers(1, 2)), blocks=k,
+                    stem_channels=draw(WIDTHS))
 
 
 @st.composite

@@ -1,18 +1,34 @@
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", TOOLS / "bench_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_tool("bench_pairs")
+
+
+@pytest.fixture(scope="module")
+def checkpoint_digests():
+    env = dict(os.environ)
+    try:
+        return load_tool("checkpoint_digests")
+    finally:  # loading pins BLAS threads in the environment; keep that from other tests
+        os.environ.clear()
+        os.environ.update(env)
 
 
 def results(values):
@@ -88,3 +104,14 @@ class TestBenchPairs:
         bench_pairs.append_record(path, {"pairs": 1})
         bench_pairs.append_record(path, {"pairs": 2})
         assert [r["pairs"] for r in json.loads(path.read_text())] == [1, 2]
+
+
+class TestCheckpointDigests:
+    def test_preset_digest_is_repeatable(self, checkpoint_digests):
+        preset = ROOT / "presets" / "synth-wsms-tiny.json"
+        first = checkpoint_digests.preset_digest(preset)
+        assert len(first) == 64
+        assert checkpoint_digests.preset_digest(preset) == first
+
+    def test_header_names_numpy_first(self, checkpoint_digests):
+        assert checkpoint_digests.header().startswith("# numpy ")

@@ -11,7 +11,7 @@ from wsmsnet.autodiff import Tape, Tensor, using_precision
 from wsmsnet.cost import cost_report
 from wsmsnet.data import Dataset
 from wsmsnet.model import Model, build_model, image_pyramid
-from wsmsnet.specs import INTEGRATIONS, SHARINGS, ConvNet, DenseNet, ResNet, WsmsSpec
+from wsmsnet.specs import INTEGRATIONS, SHARINGS, DenseNet, ResNet, WsmsSpec
 
 
 def batch(shape, seed=0):
@@ -126,8 +126,6 @@ class TestWeightSharing:
 EVAL_BACKBONES = {
     "resnet": ResNet(n=2, class_count=3, channels=(4, 6, 8)),
     "densenet": DenseNet(growth=2, class_count=3, layers_per_block=2, blocks=3, stem_channels=4),
-    "conv": ConvNet(stem_channels=4, block_widths=(4, 4, 6), convs_per_block=(2, 0, 1),
-                    class_count=3),
 }
 EVAL_SPECS = {
     f"{family}-{stages}-{sharing}": WsmsSpec(backbone, stages, INTEGRATIONS[stages - 1], 5, sharing)
