@@ -272,10 +272,24 @@ def save_checkpoint(model: Model, path, extras: Optional[dict] = None) -> None:
         raise
 
 
+def _stored(z, key: str, rebuilt: np.ndarray) -> np.ndarray:
+    """Array ``key`` of checkpoint ``z``, which must have the shape and dtype
+    of the rebuilt model's array it replaces."""
+    try:
+        arr = z[key]
+    except ValueError as err:  # e.g. an object array, which only unpickling could read
+        raise DataFormatError(f"checkpoint array {key!r} cannot be read: {err}") from None
+    if arr.shape != rebuilt.shape or arr.dtype != rebuilt.dtype:
+        raise DataFormatError(f"checkpoint array {key!r} is {arr.dtype} {arr.shape}; the "
+                              f"rebuilt model holds {rebuilt.dtype} {rebuilt.shape}")
+    return np.ascontiguousarray(arr)
+
+
 def load_checkpoint(path):
     """Rebuild the model a checkpoint came from. Returns (model, extras).
 
-    Any file that is not a checkpoint of this format raises DataFormatError.
+    Any file that is not a checkpoint of this format raises DataFormatError,
+    as does an array whose shape or dtype differs from the rebuilt model's.
     """
     with open(path, "rb") as f:
         try:
@@ -300,14 +314,14 @@ def load_checkpoint(path):
                         or list(e.tensor.shape) != rec["shape"]):
                     raise DataFormatError(f"checkpoint entry {rec['name']!r} does not match "
                                           f"rebuilt parameter {e.name!r}")
-                e.tensor.data = np.ascontiguousarray(z[f"param_{pid}"])
+                e.tensor.data = _stored(z, f"param_{pid}", e.tensor.data)
             norms = model.batch_norms()
             if [bn.name for bn in norms] != meta["bn_buffers"]:
                 raise DataFormatError("checkpoint batch norm buffers do not match the "
                                       "rebuilt model")
             for i, bn in enumerate(norms):
-                bn.running_mean = np.ascontiguousarray(z[f"bn_{i}_mean"])
-                bn.running_var = np.ascontiguousarray(z[f"bn_{i}_var"])
+                bn.running_mean = _stored(z, f"bn_{i}_mean", bn.running_mean)
+                bn.running_var = _stored(z, f"bn_{i}_var", bn.running_var)
         except KeyError as err:  # a meta field or an array the meta promises is absent
             raise DataFormatError(f"{path}: checkpoint is incomplete ({err.args[0]})") from None
         except TypeError:  # a meta field of the wrong kind, e.g. a number for a list

@@ -1,9 +1,11 @@
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -12,8 +14,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from wsmsnet.cli import main
-from wsmsnet.data import SynthScaleConfig
+from wsmsnet.cli import CIFAR_TEST_FILE, CIFAR_TRAIN_FILES, _resolve_datasets, main
+from wsmsnet.data import Dataset, SynthScaleConfig, encode_cifar, normalize_per_channel
 from wsmsnet.model import build_model, save_checkpoint
 from wsmsnet.specs import model_from_config
 
@@ -255,6 +257,88 @@ class TestBadInputFiles:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and expected in err
+
+
+def checkpoint_with(**arrays) -> bytes:
+    """The tiny preset's seed-0 checkpoint with ``arrays`` in place of its own."""
+    with np.load(io.BytesIO(checkpoint_bytes())) as z:
+        return npz_bytes(**{**{key: z[key] for key in z.files}, **arrays})
+
+
+class TestCheckpointArrays:
+    @pytest.mark.parametrize("arrays,expected", [
+        ({"param_0": np.zeros((3, 3), np.float32)}, "'param_0' is float32 (3, 3)"),
+        ({"bn_0_mean": np.zeros(5, np.float32)}, "'bn_0_mean' is float32 (5,)"),
+        ({"param_0": np.zeros((8, 3, 3, 3), np.float64)}, "'param_0' is float64 (8, 3, 3, 3)"),
+        ({"param_0": np.array([None], dtype=object)}, "'param_0' cannot be read: Object arrays"),
+    ], ids=["param-shape", "buffer-shape", "param-dtype", "param-object"])
+    def test_an_array_unlike_the_rebuilt_one_exits_2(self, tmp_path, capsys, arrays, expected):
+        path = tmp_path / "model.npz"
+        path.write_bytes(checkpoint_with(**arrays))
+        assert main(["eval", str(path), TINY_PRESET]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and expected in err
+
+
+class TestCifarData:
+    """The CIFAR data path, on five small training files and a test file."""
+    PER_FILE = 40
+
+    @pytest.fixture
+    def cifar_root(self, tmp_path):
+        rng = np.random.default_rng(11)
+        files = {}
+        for name, count in [(f, self.PER_FILE) for f in CIFAR_TRAIN_FILES] + [(CIFAR_TEST_FILE, 20)]:
+            images = rng.integers(0, 256, (count, 3, 32, 32), dtype=np.uint8)
+            labels = rng.integers(0, 10, count)
+            (tmp_path / name).write_bytes(encode_cifar(images, labels))
+            files[name] = (images, labels)
+        return tmp_path, files
+
+    @staticmethod
+    def config(train_limit, test_limit=0):
+        return {"data": {"kind": "cifar10", "train_limit": train_limit,
+                         "test_limit": test_limit}}
+
+    def test_limit_keeps_the_leading_records_across_files(self, cifar_root):
+        root, files = cifar_root
+        limit = self.PER_FILE + 10  # all of the first file and part of the second
+        train_n, eval_n, mean, std, manifest = _resolve_datasets(self.config(limit, 7), root)
+        raw = np.concatenate([files[f][0] for f in CIFAR_TRAIN_FILES])[:limit]
+        kept = Dataset(np.divide(raw, np.float32(255.0), dtype=np.float32),
+                       np.concatenate([files[f][1] for f in CIFAR_TRAIN_FILES])[:limit],
+                       np.arange(limit), 10)
+        test_images, test_labels = files[CIFAR_TEST_FILE]
+        test = Dataset(np.divide(test_images[:7], np.float32(255.0), dtype=np.float32),
+                       test_labels[:7], np.arange(7), 10)
+        want_train, (want_eval,), want_mean, want_std = normalize_per_channel(kept, test)
+        for got, want in ((mean, want_mean), (std, want_std), (train_n.images, want_train.images),
+                          (eval_n.images, want_eval.images)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(train_n.labels, kept.labels)
+        np.testing.assert_array_equal(train_n.ids, np.arange(limit))
+        np.testing.assert_array_equal(eval_n.labels, test.labels)
+        digest = hashlib.sha256()
+        for name in (*CIFAR_TRAIN_FILES, CIFAR_TEST_FILE):
+            digest.update((root / name).read_bytes())
+        assert manifest == {"kind": "cifar10", "root": str(root), "sha256": digest.hexdigest(),
+                            "train_examples": limit, "test_examples": 7}
+
+    def test_no_limit_keeps_every_record(self, cifar_root):
+        root, _ = cifar_root
+        train_n, eval_n, *_ = _resolve_datasets(self.config(0), root)
+        assert len(train_n) == 5 * self.PER_FILE and len(eval_n) == 20
+
+    def test_a_limit_inside_the_first_file_holds_one_file_at_a_time(self, cifar_root):
+        # each file's float32 images are dropped before the next file is read
+        root, _ = cifar_root
+        tracemalloc.start()
+        try:
+            _resolve_datasets(self.config(10), root)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * self.PER_FILE * 3 * 32 * 32 * 4
 
 
 class TestTrainEvalPipeline:

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsmsnet import model, ops
 from wsmsnet.autodiff import Tape, Tensor, using_precision
@@ -549,6 +550,70 @@ class TestBatchNormBits:
         assert len(grads) == 3
         for actual, wanted in zip(grads, expected[1:]):
             assert_same_bits(actual, wanted)
+
+
+def special_values(rng, shape, dtype):
+    """Normal draws with about a fifth each turned into +0.0, -0.0, +inf and
+    -inf; a window holding both infinities pools to NaN."""
+    x = rng.standard_normal(shape).astype(dtype)
+    pick = rng.integers(0, 9, size=shape)
+    for k, value in enumerate((0.0, -0.0, np.inf, -np.inf)):
+        x[pick == k] = value
+    return x
+
+
+drawn_nchw = st.tuples(*[st.integers(1, 5)] * 4)
+drawn_dtype = st.sampled_from([np.float32, np.float64])
+
+
+class TestDrawnShapeBits:
+    """Batch norm and 2x2 pooling reproduce their reference formulas bit for
+    bit at every drawn NCHW shape, one-element extents included."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(drawn_nchw, drawn_dtype, st.booleans(), st.integers(0, 2**32 - 1))
+    def test_batch_norm_matches_reference_formulas(self, shape, dtype, training, seed):
+        rng = np.random.default_rng(seed)
+        c = shape[1]
+        x, g = signed_zeros(rng, shape, dtype), signed_zeros(rng, shape, dtype)
+        gamma, beta = signed_zeros(rng, c, dtype, 0.5), signed_zeros(rng, c, dtype, 0.5)
+        running_mean = signed_zeros(rng, c, dtype, 0.5)
+        running_var = (rng.random(c) + 0.5).astype(dtype)
+        ref_mean, ref_var = running_mean.copy(), running_var.copy()
+        expected = reference_batch_norm(x, gamma, beta, ref_mean, ref_var, training, g)
+        if not training:  # the unrecorded out= path, in place on a copy of x
+            buffer = x.copy()
+            y = ops.batch_norm(*exact(buffer, gamma, beta), running_mean.copy(),
+                               running_var.copy(), training=False, out=buffer)
+            assert y.data is buffer
+            assert_same_bits(buffer, expected[0])
+        with Tape() as tape:
+            y = ops.batch_norm(*exact(x, gamma, beta, requires_grad=True),
+                               running_mean, running_var, training=training)
+        assert_same_bits(y.data, expected[0])
+        assert_same_bits(y.recompute(), expected[0])
+        assert_same_bits(running_mean, ref_mean)
+        assert_same_bits(running_var, ref_var)
+        grads = tape.nodes[-1].fn(g)
+        tape.release()
+        for actual, wanted in zip(grads, expected[1:]):
+            assert_same_bits(actual, wanted)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(drawn_nchw, drawn_dtype, st.integers(0, 2**32 - 1))
+    def test_avg_pool_half_matches_the_mean_and_the_repeat(self, pooled, dtype, seed):
+        rng = np.random.default_rng(seed)
+        n, c, h, w = pooled
+        x = special_values(rng, (n, c, 2 * h, 2 * w), dtype)
+        g = special_values(rng, pooled, dtype)
+        with np.errstate(invalid="ignore"):
+            expected = x.reshape(n, c, h, 2, w, 2).mean(axis=(3, 5))
+            with Tape() as tape:
+                y = ops.avg_pool_half(exact(x, requires_grad=True)[0])
+            dx, = tape.nodes[-1].fn(g)
+        tape.release()
+        assert_same_bits(y.data, expected)
+        assert_same_bits(dx, np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25)
 
 
 class TestRecompute:

@@ -55,6 +55,47 @@ class TestBenchPairs:
         assert rate["parent"] == {"median": 11.0, "q1": 10.5, "q3": 11.5}
         assert rate["change"]["median"] == 12.0
 
+    @staticmethod
+    def verdicts(bench_pairs, parent, change, better="higher", bound=0.25):
+        declared = [{"name": "m", "better": better, "bound": bound}]
+        paired = {side: results([{"m": v} for v in values])
+                  for side, values in (("parent", parent), ("change", change))}
+        summary = bench_pairs.summarise(paired, declared)["m"]
+        return summary["claim_met"], summary["within_bound"]
+
+    def test_claim_needs_nine_in_ten_wins_and_a_gain_past_the_spread(self, bench_pairs):
+        parent = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
+        # parent q1, q3 = 99.0, 100.75: the median must gain more than 1.75
+        assert self.verdicts(bench_pairs, parent, [p + 3.0 for p in parent]) == (True, True)
+        # nine wins of ten still claim; eight do not
+        nine = [p + 3.0 for p in parent[:9]] + [parent[9] - 1.0]
+        eight = [p + 3.0 for p in parent[:8]] + [p - 1.0 for p in parent[8:]]
+        assert self.verdicts(bench_pairs, parent, nine)[0]
+        assert not self.verdicts(bench_pairs, parent, eight)[0]
+        # every pair won, but by less than the spread
+        assert not self.verdicts(bench_pairs, parent, [p + 1.0 for p in parent])[0]
+
+    def test_claim_and_bound_follow_a_lower_is_better_metric(self, bench_pairs):
+        parent = [2.0, 2.1, 1.9, 2.0]
+        assert self.verdicts(bench_pairs, parent, [1.0, 1.1, 0.9, 1.0], "lower") == (True, True)
+        assert self.verdicts(bench_pairs, parent, [2.5, 2.6, 2.4, 2.5], "lower") == (False, True)
+        assert self.verdicts(bench_pairs, parent, [2.6, 2.7, 2.5, 2.6], "lower") == (False, False)
+
+    def test_bound_is_a_fraction_of_the_parent_median(self, bench_pairs):
+        parent = [100.0, 100.0, 100.0]
+        assert self.verdicts(bench_pairs, parent, [75.0] * 3) == (False, True)
+        assert self.verdicts(bench_pairs, parent, [74.0] * 3) == (False, False)
+        assert self.verdicts(bench_pairs, parent, [95.0] * 3, bound=0.1)[1]
+        assert self.verdicts(bench_pairs, parent, [89.0] * 3, bound=0.1) == (False, False)
+        assert self.verdicts(bench_pairs, parent, [50.0] * 3, bound=None)[1] is None
+
+    def test_only_bench_records_leave_the_tree_clean(self, bench_pairs):
+        assert not bench_pairs.dirty("")
+        assert not bench_pairs.dirty(" M BENCH_synth-wsms-train.json\n?? BENCH_new.json")
+        assert bench_pairs.dirty(" M BENCH_synth-wsms-train.json\n M src/wsmsnet/ops.py")
+        assert bench_pairs.dirty("?? notes.txt")
+        assert bench_pairs.dirty(" M perfbench/BENCH_x.json")
+
     def test_one_pair_has_its_value_as_quartiles(self, bench_pairs):
         assert bench_pairs.spread([3.0]) == {"median": 3.0, "q1": 3.0, "q3": 3.0}
 

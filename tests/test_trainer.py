@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wsmsnet.autodiff import Tensor
+from wsmsnet.data import DataFormatError
 from wsmsnet.layers import ParamEntry
 from wsmsnet.model import build_model, load_checkpoint, save_checkpoint
 from wsmsnet.trainer import (DivergenceError, TrainConfig, compare_preds, evaluate,
@@ -221,6 +222,22 @@ class TestCheckpointPersistence:
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match="does not match"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,stored", [
+        ("param_0", np.zeros((3, 3), np.float32)),
+        ("bn_0_mean", np.zeros(5, np.float32)),
+        ("param_0", None),  # the saved array, cast to float64
+    ], ids=["param-shape", "buffer-shape", "param-dtype"])
+    def test_loading_rejects_an_array_unlike_the_rebuilt_one(self, tiny_wsms_spec, tmp_path,
+                                                             key, stored):
+        path = tmp_path / "model.npz"
+        save_checkpoint(build_model(tiny_wsms_spec, seed=0), path)
+        with np.load(path) as z:
+            arrays = dict(z)
+        arrays[key] = arrays[key].astype(np.float64) if stored is None else stored
+        np.savez(path, **arrays)
+        with pytest.raises(DataFormatError, match=f"checkpoint array '{key}'"):
             load_checkpoint(path)
 
 

@@ -15,8 +15,13 @@ S is ``run_seconds`` of ``BENCHMARK.json``, so every run is timed as the
 benchmark times it.
 
 Prints one JSON object: for every end-to-end metric of ``BENCHMARK.json``,
-each side's median and quartiles, the per-pair ratio change/parent, and in how
-many pairs the change was better (in the direction the metric names). Each
+each side's median and quartiles, the per-pair ratio change/parent, in how
+many pairs the change was better (in the direction the metric names), and two
+verdicts: ``claim_met`` (the change won at least 9 in 10 pairs, and its median
+moved the better way by more than the parent's quartile spread) and
+``within_bound`` (its median is no worse than the parent's by more than the
+metric's ``bound``). ``change`` is the checkout's commit, with ``+dirty`` when
+a tracked or untracked path other than a ``BENCH_*.json`` record differs. Each
 side's ``correct`` flags and failed shares are listed per pair. ``rusage``
 gives each run's minor page faults and CPU seconds (user plus system), the
 ``getrusage(RUSAGE_CHILDREN)`` deltas around its process, set-up and warm-up
@@ -38,6 +43,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import io
 import json
 import platform
@@ -97,19 +103,40 @@ def spread(values: list) -> dict:
 
 
 def summarise(results: dict, declared: list) -> dict:
-    """Per-metric spreads, ratios and change wins over paired ``results``."""
+    """Per-metric spreads, ratios, change wins and verdicts over paired ``results``.
+
+    ``claim_met``: the change won at least 9 in 10 of the pairs, and its median
+    is better than the parent's by more than the parent's q3 - q1.
+    ``within_bound``: the change's median is worse than the parent's by no more
+    than the metric's ``bound``, a fraction of the parent's median (None where
+    the metric declares none).
+    """
     metrics = {}
     for metric in declared:
         name, higher = metric["name"], metric["better"] == "higher"
         parent = [r["metrics"][name]["value"] for r in results["parent"]]
         change = [r["metrics"][name]["value"] for r in results["change"]]
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        sides = {"parent": spread(parent), "change": spread(change)}
+        base = sides["parent"]["median"]
+        # how much better the change's median is, in the metric's own units
+        gain = (sides["change"]["median"] - base) * (1 if higher else -1)
+        bound = metric.get("bound")
         metrics[name] = {
-            "better": metric["better"], "parent": spread(parent), "change": spread(change),
+            "better": metric["better"], **sides,
             "ratios": [c / p if p else None for p, c in zip(parent, change)],
             "change_wins": wins,
+            "claim_met": 10 * wins >= 9 * len(parent)
+                         and gain > sides["parent"]["q3"] - sides["parent"]["q1"],
+            "within_bound": None if bound is None else -gain <= bound * abs(base),
         }
     return metrics
+
+
+def dirty(porcelain: str) -> bool:
+    """Whether ``git status --porcelain`` output names any path but the
+    ``BENCH_*.json`` records this tool appends to."""
+    return any(not fnmatch.fnmatch(line[3:], "BENCH_*.json") for line in porcelain.splitlines())
 
 
 def usage(results: dict) -> dict:
@@ -147,7 +174,7 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     parent_id = git("rev-parse", args.rev)
-    change_id = git("rev-parse", "HEAD") + ("+dirty" if git("status", "--porcelain") else "")
+    change_id = git("rev-parse", "HEAD") + ("+dirty" if dirty(git("status", "--porcelain")) else "")
     revs = {"parent": parent_id, "change": git("stash", "create") or git("rev-parse", "HEAD")}
     results = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
