@@ -130,6 +130,8 @@ class Tape:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         Tape._active = None
+        if exc_type is not None:  # no backward follows, so free the graph's cycle now
+            self.release()
 
     def release(self) -> None:
         """Drop all recorded nodes and refuse any further backward.

@@ -123,8 +123,8 @@ def _resolve_datasets(cfg: dict, data_arg=None, seed=None):
     Returns (train, eval, mean, std, manifest), both splits normalized with
     the training split's statistics. ``seed`` overrides a synth section's.
     """
-    from .data import (IMAGE_SIZE, RECORD_BYTES, CifarLimits, Dataset, SynthScaleConfig,
-                       load_cifar, normalize_per_channel, synth_scale_dataset)
+    from .data import (CifarLimits, SynthScaleConfig, load_cifar, normalize_per_channel,
+                       synth_scale_dataset)
     from .specs import ConfigError, config_object, read_config
 
     section = dict(config_object(cfg.get("data", {}), "data"))
@@ -148,31 +148,11 @@ def _resolve_datasets(cfg: dict, data_arg=None, seed=None):
     root = data_arg or os.environ.get(DATA_ROOT_ENV)
     if not root or not Path(root).exists():
         raise ConfigError(f"dataset root not found; pass --data or set ${DATA_ROOT_ENV}")
-    import numpy as np
-
-    paths = [Path(root) / f for f in (*CIFAR_TRAIN_FILES, CIFAR_TEST_FILE)]
-    digest = hashlib.sha256()
-    for path in paths:
-        digest.update(path.read_bytes())
-    # the kept training records are copied file by file into one array of the
-    # kept size, so no more than one file's images are alive beside it
-    records = sum(path.stat().st_size // RECORD_BYTES[kind] for path in paths[:-1])
-    n = min(records, limits.train_limit or records)  # 0 keeps a whole split
-    images = np.empty((n, 3, IMAGE_SIZE, IMAGE_SIZE), dtype=np.float32)
-    labels = np.empty(n, dtype=np.int64)
-    kept = 0
-    for path in paths[:-1]:
-        part = load_cifar(path, kind)  # decoded and checked even when none of it is kept
-        take = min(len(part), n - kept)
-        images[kept:kept + take] = part.images[:take]
-        labels[kept:kept + take] = part.labels[:take]
-        kept += take
-        del part
-    test = load_cifar(paths[-1], kind)
-    m = limits.test_limit or None
-    train_n, (eval_n,), mean, std = normalize_per_channel(
-        Dataset(images, labels, np.arange(n, dtype=np.int64), test.class_count),
-        Dataset(test.images[:m], test.labels[:m], test.ids[:m], test.class_count))
+    digest = hashlib.sha256()  # of the six files, each read once, in this order
+    train = load_cifar([Path(root) / f for f in CIFAR_TRAIN_FILES], kind,
+                       limits.train_limit, digest)
+    test = load_cifar(Path(root) / CIFAR_TEST_FILE, kind, limits.test_limit, digest)
+    train_n, (eval_n,), mean, std = normalize_per_channel(train, test)
     manifest = {"kind": kind, "root": str(Path(root)), "sha256": digest.hexdigest(),
                 "train_examples": len(train_n), "test_examples": len(eval_n)}
     return train_n, eval_n, mean, std, manifest

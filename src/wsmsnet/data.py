@@ -49,7 +49,7 @@ def _check_variant(variant: str) -> None:
 
 
 def decode_cifar(buf: bytes, variant: str = "cifar10") -> Tuple[np.ndarray, np.ndarray]:
-    """Unpack raw records into (uint8 images (N,3,32,32), labels)."""
+    """Unpack raw records into (uint8 images (N,3,32,32), a view of ``buf``; labels)."""
     _check_variant(variant)
     record = RECORD_BYTES[variant]
     if len(buf) == 0 or len(buf) % record:
@@ -63,8 +63,7 @@ def decode_cifar(buf: bytes, variant: str = "cifar10") -> Tuple[np.ndarray, np.n
         raise DataFormatError(
             f"label {labels.max()} out of range for {variant} "
             f"(must be < {LABEL_RANGE[variant]})")
-    images = arr[:, offset:].reshape(-1, 3, IMAGE_SIZE, IMAGE_SIZE)
-    return np.ascontiguousarray(images), labels
+    return arr[:, offset:].reshape(-1, 3, IMAGE_SIZE, IMAGE_SIZE), labels
 
 
 def encode_cifar(images: np.ndarray, labels: np.ndarray, variant: str = "cifar10") -> bytes:
@@ -85,16 +84,31 @@ def encode_cifar(images: np.ndarray, labels: np.ndarray, variant: str = "cifar10
     return out.tobytes()
 
 
-def load_cifar(path, variant: str = "cifar10") -> Dataset:
-    """Load one binary batch file.
+def load_cifar(paths, variant: str = "cifar10", limit: int = 0, digest=None) -> Dataset:
+    """Load one split from one binary batch file or a list of them, in order.
 
-    Pixels are scaled to [0, 1]; ids number the examples in file order. The
-    division casts each byte as it goes, with no float32 copy of the images
-    before it, and gives ``images.astype(np.float32) / 255`` bit for bit.
+    Each file is read once, fed to ``digest.update`` if a hash is given, and
+    decoded and checked whole. Only the split's leading ``limit`` records (0
+    keeps all) are scaled to [0, 1], from the bytes straight into one float32
+    array of the kept size, with ``images.astype(np.float32) / 255``'s bits.
+    Ids number the kept examples in order.
     """
-    images, labels = decode_cifar(Path(path).read_bytes(), variant)
-    return Dataset(np.divide(images, np.float32(255.0), dtype=np.float32), labels,
-                   np.arange(len(labels), dtype=np.int64), LABEL_RANGE[variant])
+    kept, count = [], 0  # per file with records kept: their first index, images, labels
+    for path in [paths] if isinstance(paths, (str, Path)) else paths:
+        buf = Path(path).read_bytes()
+        if digest is not None:
+            digest.update(buf)
+        images, labels = decode_cifar(buf, variant)
+        take = min(len(labels), limit - count) if limit else len(labels)
+        if take:  # an image view holds its whole file, so none is kept of an unused one
+            kept.append((count, images[:take], labels[:take]))
+            count += take
+        del buf, images  # the next file is read with no unused one alive
+    out = np.empty((count, 3, IMAGE_SIZE, IMAGE_SIZE), dtype=np.float32)
+    for start, images, _ in kept:
+        np.divide(images, np.float32(255.0), out=out[start:start + len(images)], dtype=np.float32)
+    return Dataset(out, np.concatenate([labels for *_, labels in kept]),
+                   np.arange(count, dtype=np.int64), LABEL_RANGE[variant])
 
 
 @dataclass(frozen=True)

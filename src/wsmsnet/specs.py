@@ -14,7 +14,6 @@ so a runtime layer's name is its cost row's path.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import (ClassVar, Iterator, Optional, Tuple, Union, get_args, get_origin,
                     get_type_hints)
@@ -53,11 +52,7 @@ def _fit(hint, value):
     """``value`` as a field annotated ``hint`` holds it, or TypeError. An int is
     not a bool, and an int in a float field becomes a float."""
     args = get_args(hint)
-    if get_origin(hint) is Union:
-        for arm in args:
-            with suppress(TypeError):
-                return _fit(arm, value)
-    elif get_origin(hint) is tuple:
+    if get_origin(hint) is tuple:
         if isinstance(value, tuple):
             items = args[:1] * len(value) if args[-1] is Ellipsis else args
             if len(items) == len(value):

@@ -15,7 +15,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wsmsnet.cli import CIFAR_TEST_FILE, CIFAR_TRAIN_FILES, _resolve_datasets, main
-from wsmsnet.data import Dataset, SynthScaleConfig, encode_cifar, normalize_per_channel
+from wsmsnet.data import (Dataset, SynthScaleConfig, encode_cifar, normalize_per_channel,
+                          synth_scale_dataset)
 from wsmsnet.model import build_model, save_checkpoint
 from wsmsnet.specs import model_from_config
 
@@ -48,6 +49,20 @@ def tiny_synth_config(tmp_path, stages=2, channels=16, epochs=1, lr=0.1,
                  "test_per_class": 4, "seed": 0},
     }
     return write_config(tmp_path, body)
+
+
+def write_cifar_root(root, per_file, test_count, seed=11):
+    """Five training files of ``per_file`` random records and a test file of
+    ``test_count`` under ``root``; returns each file's (images, labels) by name."""
+    rng = np.random.default_rng(seed)
+    files = {}
+    for name in (*CIFAR_TRAIN_FILES, CIFAR_TEST_FILE):
+        count = test_count if name == CIFAR_TEST_FILE else per_file
+        images = rng.integers(0, 256, (count, 3, 32, 32), dtype=np.uint8)
+        labels = rng.integers(0, 10, count)
+        (root / name).write_bytes(encode_cifar(images, labels))
+        files[name] = (images, labels)
+    return files
 
 
 class TestCount:
@@ -286,14 +301,7 @@ class TestCifarData:
 
     @pytest.fixture
     def cifar_root(self, tmp_path):
-        rng = np.random.default_rng(11)
-        files = {}
-        for name, count in [(f, self.PER_FILE) for f in CIFAR_TRAIN_FILES] + [(CIFAR_TEST_FILE, 20)]:
-            images = rng.integers(0, 256, (count, 3, 32, 32), dtype=np.uint8)
-            labels = rng.integers(0, 10, count)
-            (tmp_path / name).write_bytes(encode_cifar(images, labels))
-            files[name] = (images, labels)
-        return tmp_path, files
+        return tmp_path, write_cifar_root(tmp_path, self.PER_FILE, 20)
 
     @staticmethod
     def config(train_limit, test_limit=0):
@@ -339,6 +347,47 @@ class TestCifarData:
         finally:
             tracemalloc.stop()
         assert peak < 2 * self.PER_FILE * 3 * 32 * 32 * 4
+
+    def test_each_file_is_read_once_in_order(self, cifar_root, monkeypatch):
+        root, _ = cifar_root
+        reads, read_bytes = [], Path.read_bytes
+
+        def counted(path):
+            reads.append(path.name)
+            return read_bytes(path)
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        _resolve_datasets(self.config(self.PER_FILE + 10, 7), root)
+        assert reads == [*CIFAR_TRAIN_FILES, CIFAR_TEST_FILE]
+
+    def test_a_few_test_records_hold_no_float_copy_of_the_test_file(self, tmp_path):
+        write_cifar_root(tmp_path, 10, 400)
+        tracemalloc.start()
+        try:
+            _resolve_datasets(self.config(0, 5), tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 3 * 32 * 32 * 4
+
+    def test_train_then_eval_through_main(self, tmp_path, capsys):
+        root = tmp_path / "cifar"
+        root.mkdir()
+        write_cifar_root(root, 4, 8)
+        body = json.loads(Path(tiny_synth_config(tmp_path)).read_text())
+        body["model"]["backbone"]["class_count"] = 10
+        body["data"] = {"kind": "cifar10", "train_limit": 6, "test_limit": 5}
+        config, run_dir = write_config(tmp_path, body, "cifar.json"), tmp_path / "run"
+        assert main(["train", config, "--out", str(run_dir), "--data", str(root)]) == 0
+        digest = hashlib.sha256()
+        for name in (*CIFAR_TRAIN_FILES, CIFAR_TEST_FILE):
+            digest.update((root / name).read_bytes())
+        assert json.loads((run_dir / "manifest.json").read_text())["data"] == {
+            "kind": "cifar10", "root": str(root), "sha256": digest.hexdigest(),
+            "train_examples": 6, "test_examples": 5}
+        capsys.readouterr()
+        assert main(["eval", str(run_dir / "checkpoint-final.npz"), config,
+                     "--data", str(root)]) == 0
+        assert "over 5 examples" in capsys.readouterr().out
 
 
 class TestTrainEvalPipeline:
@@ -415,8 +464,9 @@ class TestTrainEvalPipeline:
         ({}, ["--epochs", "-1"], "epochs must be >= 0"),
         ({}, ["--seed", "-3"], "seed must be >= 0"),
         ({"class_count": 3}, [], "data section has 3 classes, model expects 5"),
+        ({"eval_split": "test"}, [], "synth eval_split must be 'held' or 'seen', got 'test'"),
     ], ids=["negative-noise", "one-scale", "string-class_count", "unknown-key",
-            "negative-epochs", "negative-seed", "class-count-mismatch"])
+            "negative-epochs", "negative-seed", "class-count-mismatch", "bad-eval_split"])
     def test_bad_data_or_override_exits_2(self, tmp_path, capsys, data, flags, bad):
         body = json.loads(Path(tiny_synth_config(tmp_path, epochs=0)).read_text())
         body["data"].update(data)
@@ -426,6 +476,21 @@ class TestTrainEvalPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error:") and bad in err
         assert not run_dir.exists()
+
+    def test_seen_eval_split_evaluates_on_the_seen_scales(self, tmp_path):
+        body = json.loads(Path(tiny_synth_config(tmp_path, epochs=0)).read_text())
+        section = {key: value for key, value in body["data"].items() if key != "kind"}
+        train, seen, _held = synth_scale_dataset(SynthScaleConfig.from_dict(section))
+        _, (want,), _, _ = normalize_per_channel(train, seen)
+        body["data"]["eval_split"] = "seen"
+        _, eval_n, *_ = _resolve_datasets(body)
+        assert eval_n.images.tobytes() == want.images.tobytes()
+        np.testing.assert_array_equal(eval_n.labels, want.labels)
+        np.testing.assert_array_equal(eval_n.ids, want.ids)
+        run_dir = tmp_path / "run"
+        assert main(["train", write_config(tmp_path, body, "seen.json"),
+                     "--out", str(run_dir)]) == 0
+        assert json.loads((run_dir / "manifest.json").read_text())["data"]["eval_split"] == "seen"
 
     def test_eval_on_data_of_another_class_count_exits_2(self, tmp_path, capsys):
         body = json.loads(Path(tiny_synth_config(tmp_path, epochs=0)).read_text())

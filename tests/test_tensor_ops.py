@@ -1,3 +1,4 @@
+import gc
 import itertools
 import tracemalloc
 import weakref
@@ -77,6 +78,27 @@ class TestTapeLifecycle:
         with pytest.raises(ArithmeticError, match="injected"):
             tape.backward(loss)
         assert tape.nodes == []
+        with pytest.raises(RuntimeError, match="released"):
+            tape.backward(loss)
+
+    def test_an_exception_leaving_the_block_releases_the_tape(self):
+        # a step that raises before backward (a diverged loss) leaves its graph
+        # a reference cycle; with the collector off only the release frees it
+        x = tracked(np.ones((2, 3)))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with pytest.raises(ArithmeticError):
+                with Tape() as tape:
+                    y = ops.relu(ops.scale(x, 2.0))
+                    loss = ops.sum_all(y)
+                    kept = weakref.ref(y.data)
+                    raise ArithmeticError("diverged")
+            del y
+            assert tape.nodes == [] and kept() is None
+        finally:
+            if enabled:
+                gc.enable()
         with pytest.raises(RuntimeError, match="released"):
             tape.backward(loss)
 

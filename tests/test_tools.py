@@ -125,6 +125,13 @@ class TestBenchPairs:
         assert result["rusage"]["minor_faults"] >= (64 << 20) // 4096
         assert result["rusage"]["cpu_s"] > 0
 
+    def test_run_once_records_the_load_average_at_its_end(self, bench_pairs, tmp_path):
+        (tmp_path / "perfbench").mkdir()
+        (tmp_path / "perfbench" / "run.py").write_text(
+            "import json\nprint(json.dumps({'metrics': {}}))\n")
+        load = bench_pairs.run_once(tmp_path, "w", 0, 1)["rusage"]["load_1m"]
+        assert isinstance(load, float) and load >= 0
+
     def test_run_once_keeps_the_protocol(self, bench_pairs, tmp_path):
         (tmp_path / "perfbench").mkdir()
         (tmp_path / "perfbench" / "run.py").write_text(

@@ -25,7 +25,9 @@ a tracked or untracked path other than a ``BENCH_*.json`` record differs. Each
 side's ``correct`` flags and failed shares are listed per pair. ``rusage``
 gives each run's minor page faults and CPU seconds (user plus system), the
 ``getrusage(RUSAGE_CHILDREN)`` deltas around its process, set-up and warm-up
-included: each side's median and the (parent, change) values of every pair.
+included, and the machine's 1-minute load average as the run ends, the run
+itself counted, which shows other jobs' load: each side's median and the
+(parent, change) values of every pair.
 Progress goes to standard error.
 
 The same object, with a ``protocol`` entry, is appended to the JSON list in
@@ -46,6 +48,7 @@ import argparse
 import fnmatch
 import io
 import json
+import os
 import platform
 import resource
 import statistics
@@ -78,8 +81,9 @@ def cpu_s(usage) -> float:
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     """The result line of one ``run.py`` process in ``tree``, with the
-    process's minor faults and CPU seconds added under ``rusage`` and its
-    protocol line, if it printed one, under ``protocol``."""
+    process's minor faults, CPU seconds and the 1-minute load average at its
+    end added under ``rusage``, and its protocol line, if it printed one, under
+    ``protocol``."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
@@ -90,7 +94,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     result = json.loads(lines[-1])
     result["protocol"] = json.loads(lines[-2])["protocol"] if len(lines) > 1 else {}
     result["rusage"] = {"minor_faults": after.ru_minflt - before.ru_minflt,
-                        "cpu_s": cpu_s(after) - cpu_s(before)}
+                        "cpu_s": cpu_s(after) - cpu_s(before),
+                        "load_1m": os.getloadavg()[0]}
     return result
 
 
